@@ -9,21 +9,21 @@ exponent.
 """
 
 from .errors import (BadN, BadRadius, BadResidue, EmptyRange,
-                     InsufficientData, NotEnumerated, NotPrime, NotResidue,
-                     PowresError, ScaleLimit, TooSmall, TrivialSubgroup,
-                     ZeroFrequency)
+                     InsufficientData, InvariantViolation, NotEnumerated,
+                     NotPrime, NotResidue, PowresError, ScaleLimit, TooSmall,
+                     TrivialSubgroup, ZeroFrequency)
 from .expsums import (DecompositionResult, ExpSumProfile,
                       count_solutions_in_interval, empirical_delta,
                       expsum_profile, harmonic_bound_check, interval_bound,
                       interval_expsum, orthogonality_decomposition,
                       subgroup_expsum)
-from .modmath import (MODULUS_CAP, PrimeContext, build_prime_context,
-                      factorize, is_prime, mulmod, powmod, primes_up_to)
-from .residues import (BSGS_CAP_DEFAULT, ENUM_CAP_DEFAULT, CoverState,
-                       KResult, SubgroupSpec, brute_force_k,
-                       chowla_london_bounds, compute_k, is_nth_residue,
-                       nth_root_solutions, power_residue_subgroup,
-                       principal_nth_root, roots_of_unity_subgroup)
+from .modmath import (MODULUS_CAP, SIEVE_CAP, PrimeContext,
+                      build_prime_context, factorize, is_prime, primes_up_to)
+from .residues import (BSGS_CAP_DEFAULT, ENUM_CAP_DEFAULT, KResult,
+                       SubgroupSpec, brute_force_k, chowla_london_bounds,
+                       compute_k, is_nth_residue, nth_root_solutions,
+                       power_residue_subgroup, principal_nth_root,
+                       roots_of_unity_subgroup)
 from .sweep import (CSV_COLUMNS, FitResult, SweepConfig, SweepRecord,
                     enumerate_cases, fit_exponent, odd_divisors,
                     read_records, run_case, run_sweep, write_records)

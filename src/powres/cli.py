@@ -23,11 +23,9 @@ from .errors import (EmptyRange, InsufficientData, PowresError, ScaleLimit,
 from .expsums import (empirical_delta, expsum_profile,
                       orthogonality_decomposition)
 from .modmath import build_prime_context
-from .residues import (BSGS_CAP_DEFAULT, ENUM_CAP_DEFAULT, compute_k,
-                       nth_root_solutions, principal_nth_root,
-                       roots_of_unity_subgroup)
-from .sweep import (SweepConfig, enumerate_cases, fit_exponent, run_case,
-                    run_sweep, write_records)
+from .residues import (BSGS_CAP_DEFAULT, ENUM_CAP_DEFAULT, _root_coset,
+                       compute_k, principal_nth_root, roots_of_unity_subgroup)
+from .sweep import SweepConfig, fit_exponent, run_sweep, write_records
 
 
 def _enum_cap() -> int:
@@ -74,8 +72,7 @@ def cmd_compute(args) -> int:
 def cmd_roots(args) -> int:
     ctx = build_prime_context(args.p)
     x0 = principal_nth_root(ctx, args.n, args.m, bsgs_cap=_bsgs_cap())
-    roots = sorted(nth_root_solutions(ctx, args.n, args.m,
-                                      bsgs_cap=_bsgs_cap()))
+    roots = sorted(_root_coset(ctx, args.n, x0))
     h_gen = pow(ctx.g, (ctx.p - 1) // args.n, ctx.p)
     payload = {"p": ctx.p, "n": args.n, "m": args.m % ctx.p, "roots": roots,
                "x0": x0, "g": ctx.g, "h_generator": h_gen}
@@ -91,9 +88,6 @@ def cmd_roots(args) -> int:
 def cmd_expsum(args) -> int:
     ctx = build_prime_context(args.p)
     subgroup = roots_of_unity_subgroup(ctx, args.n, enum_cap=_enum_cap())
-    if subgroup.elements is None:
-        raise ScaleLimit(
-            f"subgroup order {args.n} exceeds the cap {_enum_cap()}")
     profile = expsum_profile(subgroup)
     try:
         delta = empirical_delta(profile)
@@ -153,7 +147,7 @@ def cmd_sweep(args) -> int:
                          n_min=args.n_min, epsilon=args.epsilon,
                          n_policy=args.policy, fixed_n=args.fixed_n,
                          with_expsums=args.with_expsums, workers=args.workers,
-                         enum_cap=_enum_cap(), bsgs_cap=_bsgs_cap())
+                         enum_cap=_enum_cap())
     records = run_sweep(config)
     write_records(records, args.out, args.format)
     completed = [r for r in records if r.k is not None]
@@ -179,6 +173,14 @@ def cmd_sweep(args) -> int:
         + ("n/a" if not norms else f"[{min(norms):.4f}, {max(norms):.4f}]"),
         f"wrote {len(records)} records to {args.out} ({args.format})",
     ]
+    if args.with_expsums:
+        ratios = [r.max_expsum_ratio for r in completed
+                  if r.max_expsum_ratio is not None]
+        payload["max_expsum_ratio_min"] = min(ratios) if ratios else None
+        payload["max_expsum_ratio_max"] = max(ratios) if ratios else None
+        lines.append("max|S|/|H|: " + (
+            "n/a" if not ratios
+            else f"[{min(ratios):.4f}, {max(ratios):.4f}]"))
     _emit(args, payload, lines)
     return 0
 
@@ -186,25 +188,21 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     config = SweepConfig(p_min=5, p_max=args.p_max, n_min=3, epsilon=0.0,
                          n_policy="all_odd_divisors", enum_cap=_enum_cap())
-    cases = enumerate_cases(config)
-    violations = []
-    for p, n in cases:
-        record = run_case(p, n, enum_cap=config.enum_cap)
-        if record.k is None or not (record.lower <= record.k
-                                    < record.upper_exclusive):
-            violations.append(record)
+    records = run_sweep(config)
+    violations = [r for r in records if r.k is None
+                  or not r.lower <= r.k < r.upper_exclusive]
     payload = {
-        "p_max": args.p_max, "cases": len(cases), "ok": not violations,
+        "p_max": args.p_max, "cases": len(records), "ok": not violations,
         "violations": [{"p": r.p, "n": r.n, "k": r.k} for r in violations],
     }
     if violations:
         lines = [f"counterexample: p={r.p} n={r.n} k={r.k} "
                  f"bounds [{r.lower}, {r.upper_exclusive})"
                  for r in violations]
-        lines.append(f"{len(violations)} of {len(cases)} cases FAILED")
+        lines.append(f"{len(violations)} of {len(records)} cases FAILED")
         _emit(args, payload, lines)
         return 1
-    _emit(args, payload, [f"all {len(cases)} cases pass"])
+    _emit(args, payload, [f"all {len(records)} cases pass"])
     return 0
 
 

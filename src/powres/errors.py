@@ -29,7 +29,7 @@ class ScaleLimit(PowresError):
     """The request exceeds a documented size cap (enumeration, BSGS, modulus)."""
 
 
-class NotEnumerated(PowresError):
+class NotEnumerated(ScaleLimit):
     """The subgroup's element list was not materialized (order above cap)."""
 
 
@@ -51,3 +51,7 @@ class EmptyRange(PowresError):
 
 class InsufficientData(PowresError):
     """Fewer than two usable points (or zero variance) for a regression."""
+
+
+class InvariantViolation(PowresError):
+    """A mathematical invariant failed: the computation itself is wrong."""

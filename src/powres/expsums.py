@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 from math import cos, fsum, pi, sin
 
-from .errors import (BadRadius, NotEnumerated, ScaleLimit, TrivialSubgroup,
-                     ZeroFrequency)
+from .errors import (BadRadius, InvariantViolation, NotEnumerated,
+                     TrivialSubgroup, ZeroFrequency)
 from .modmath import PrimeContext
 from .residues import (BSGS_CAP_DEFAULT, ENUM_CAP_DEFAULT, SubgroupSpec,
-                       nth_root_solutions, principal_nth_root,
+                       _root_coset, nth_root_solutions, principal_nth_root,
                        roots_of_unity_subgroup)
 
 
@@ -29,13 +29,19 @@ def _check_radius(p: int, K: int) -> None:
         raise BadRadius(f"K must be an integer in [1, {(p - 1) // 2}], got {K}")
 
 
+def _elements(H: SubgroupSpec) -> tuple[int, ...]:
+    """H's element list; NotEnumerated when its order was above the cap."""
+    if H.elements is None:
+        raise NotEnumerated(
+            f"subgroup of order {H.order} exceeds the enumeration cap")
+    return H.elements
+
+
 def subgroup_expsum(H: SubgroupSpec, a: int) -> complex:
     """S(a, H) = sum of e(a*h/p) over the enumerated subgroup."""
-    if H.elements is None:
-        raise NotEnumerated("subgroup elements were not enumerated")
     p = H.p
     a %= p
-    angles = [2.0 * pi * ((a * h) % p) / p for h in H.elements]
+    angles = [2.0 * pi * ((a * h) % p) / p for h in _elements(H)]
     return complex(fsum(map(cos, angles)), fsum(map(sin, angles)))
 
 
@@ -60,8 +66,7 @@ class ExpSumProfile:
 
 def expsum_profile(H: SubgroupSpec) -> ExpSumProfile:
     """Evaluate S once per coset of H in F_p^* and summarize."""
-    if H.elements is None:
-        raise NotEnumerated("subgroup elements were not enumerated")
+    _elements(H)  # NotEnumerated before any work
     p, d = H.p, H.order
     values = []
     rep = 1
@@ -141,6 +146,10 @@ def harmonic_bound_check(p: int) -> tuple[float, float, bool]:
     return lhs, rhs, lhs <= rhs
 
 
+def _count_within(p: int, roots: set[int], K: int) -> int:
+    return sum(1 for s in roots if s <= K or p - s <= K)
+
+
 def count_solutions_in_interval(ctx: PrimeContext, n: int, m: int, K: int, *,
                                 bsgs_cap: int = BSGS_CAP_DEFAULT) -> int:
     """Exact number of solutions of x**n == m with 1 <= |x| <= K.
@@ -151,8 +160,7 @@ def count_solutions_in_interval(ctx: PrimeContext, n: int, m: int, K: int, *,
     """
     _check_radius(ctx.p, K)
     roots = nth_root_solutions(ctx, n, m, bsgs_cap=bsgs_cap)
-    p = ctx.p
-    return sum(1 for s in roots if s <= K or p - s <= K)
+    return _count_within(ctx.p, roots, K)
 
 
 @dataclass(frozen=True)
@@ -181,18 +189,17 @@ def orthogonality_decomposition(ctx: PrimeContext, n: int, m: int, K: int, *,
     count = (1/p) * sum_{r=1}^{p} S(r*x0, H) * D(r, K): the r = p term is
     the main term (n/p)*2K, and the rest is evaluated with one cached S
     value per coset.  The pairing r <-> p - r conjugates both factors, so
-    the error sum is real; its imaginary residue is asserted tiny.
+    the error sum is real; its imaginary residue is checked to be tiny.
     """
     _check_radius(ctx.p, K)
     p = ctx.p
     H = roots_of_unity_subgroup(ctx, n, enum_cap=enum_cap)
-    if H.elements is None:
-        raise ScaleLimit(f"subgroup order {n} exceeds the cap {enum_cap}")
+    elements = _elements(H)
     x0 = principal_nth_root(ctx, n, m, bsgs_cap=bsgs_cap)
     profile = expsum_profile(H)
     s_by_residue: dict[int, complex] = {}
     for a, s in profile.coset_values:
-        for h in H.elements:
+        for h in elements:
             s_by_residue[a * h % p] = s
     real_parts = []
     imag_parts = []
@@ -203,9 +210,11 @@ def orthogonality_decomposition(ctx: PrimeContext, n: int, m: int, K: int, *,
         imag_parts.append(s_val.imag * d_val)
     error_term = fsum(real_parts) / p
     imag_residue = fsum(imag_parts) / p
-    assert abs(imag_residue) < 1e-6, "error sum must be real up to rounding"
+    if not abs(imag_residue) < 1e-6:
+        raise InvariantViolation(
+            f"error sum has imaginary part {imag_residue:.3e}, not ~0")
     main_term = (n / p) * 2.0 * K
-    exact = count_solutions_in_interval(ctx, n, m, K, bsgs_cap=bsgs_cap)
+    exact = _count_within(p, _root_coset(ctx, n, x0), K)
     return DecompositionResult(m=m, K=K, exact_count=exact,
                                main_term=main_term, error_term=error_term,
                                reconstruction=main_term + error_term)

@@ -14,26 +14,16 @@ from .errors import NotPrime, ScaleLimit, TooSmall
 
 MODULUS_CAP = 1 << 62
 
+# Largest sieve bound for sweeps: primes_up_to(SIEVE_CAP) holds one byte per
+# integer (256 MiB) plus a list of about 1.5 * 10**7 primes (about 0.5 GB).
+SIEVE_CAP = 1 << 28
+
 # Witness set deterministic for every n < 3.3 * 10**24 (covers the full
 # 64-bit range), so the test below is exact, never probabilistic.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_BOUND = 10**6
 _trial_primes_cache: tuple[int, ...] | None = None
-
-
-def mulmod(a: int, b: int, p: int) -> int:
-    """(a * b) mod p, exact for all 0 <= a, b < p < 2**62."""
-    return a * b % p
-
-
-def powmod(a: int, e: int, p: int) -> int:
-    """a**e mod p by square-and-multiply.
-
-    powmod(0, 0, p) == 1 by the empty-product convention (and so does any
-    a with e == 0); callers relying on this corner get a stable answer.
-    """
-    return pow(a, e, p)
 
 
 def is_prime(m: int) -> bool:

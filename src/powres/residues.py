@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import BadN, BadResidue, NotResidue, ScaleLimit
+from .errors import (BadN, BadResidue, InvariantViolation, NotResidue,
+                     ScaleLimit)
 from .modmath import PrimeContext
 
 ENUM_CAP_DEFAULT = 1 << 22
@@ -115,14 +116,14 @@ def principal_nth_root(ctx: PrimeContext, n: int, m: int, *,
     if ctx.p >= bsgs_cap:
         raise ScaleLimit(f"p = {ctx.p} exceeds the BSGS cap {bsgs_cap}")
     t = _bsgs_log(ctx, m % ctx.p)
-    assert t % n == 0, "n | t whenever m passes the residue criterion"
+    if t % n != 0:
+        raise InvariantViolation(
+            f"log of a residue is not divisible by n = {n} (t = {t})")
     return pow(ctx.g, t // n, ctx.p)
 
 
-def nth_root_solutions(ctx: PrimeContext, n: int, m: int, *,
-                       bsgs_cap: int = BSGS_CAP_DEFAULT) -> set[int]:
-    """All n solutions of x**n == m mod p: {x0 * g**((p-1)j/n) : j = 0..n-1}."""
-    x0 = principal_nth_root(ctx, n, m, bsgs_cap=bsgs_cap)
+def _root_coset(ctx: PrimeContext, n: int, x0: int) -> set[int]:
+    """All n solutions of x**n == x0**n: {x0 * g**((p-1)j/n) : j = 0..n-1}."""
     p = ctx.p
     w = pow(ctx.g, (p - 1) // n, p)
     roots = set()
@@ -130,8 +131,15 @@ def nth_root_solutions(ctx: PrimeContext, n: int, m: int, *,
     for _ in range(n):
         roots.add(x)
         x = x * w % p
-    assert len(roots) == n
+    if len(roots) != n:
+        raise InvariantViolation(f"found {len(roots)} roots, expected {n}")
     return roots
+
+
+def nth_root_solutions(ctx: PrimeContext, n: int, m: int, *,
+                       bsgs_cap: int = BSGS_CAP_DEFAULT) -> set[int]:
+    """All n solutions of x**n == m mod p: {x0 * g**((p-1)j/n) : j = 0..n-1}."""
+    return _root_coset(ctx, n, principal_nth_root(ctx, n, m, bsgs_cap=bsgs_cap))
 
 
 @dataclass(frozen=True)
@@ -153,26 +161,6 @@ class KResult:
         return self.lower <= self.k and self.k < self.upper_exclusive
 
 
-@dataclass
-class CoverState:
-    """Mutable coverage tracker over the power-residue subgroup.
-
-    Confined to one worker per (p, n) task; covered_count always equals the
-    number of set flags.
-    """
-
-    index_map: dict[int, int]
-    covered: bytearray
-    covered_count: int = 0
-    x_current: int = 0
-
-    def mark(self, residue: int) -> None:
-        i = self.index_map[residue]
-        if not self.covered[i]:
-            self.covered[i] = 1
-            self.covered_count += 1
-
-
 def chowla_london_bounds(p: int, n: int) -> tuple[Fraction, Fraction]:
     """Exact rationals ((p-1)/(2n), (1/2 - 1/(2n)) * p); no floating point."""
     _require_valid_n(p, n)
@@ -184,9 +172,11 @@ def compute_k(ctx: PrimeContext, n: int, *,
     """Least k whose signed n-th powers cover every n-th power residue.
 
     Iterates x = 1, 2, ...; each step takes one modular exponentiation
-    r = x**n and marks both r and p - r (valid because n is odd), so the
-    scan stops at the exact covering index.  Memory is one flag per element
-    of the residue subgroup, which must fit the enumeration cap.
+    r = x**n and adds both r and p - r = (-x)**n (n is odd) to a set.  Every
+    such value is an n-th power residue, so the scan stops at the exact
+    covering index: the first x at which the set holds all (p - 1)/n
+    residues.  The set never outgrows the residue subgroup, whose order
+    must fit the enumeration cap.
     """
     _require_valid_n(ctx.p, n)
     p = ctx.p
@@ -194,19 +184,13 @@ def compute_k(ctx: PrimeContext, n: int, *,
     if size > enum_cap:
         raise ScaleLimit(
             f"residue subgroup has {size} elements, above the cap {enum_cap}")
-    subgroup = power_residue_subgroup(ctx, n, enum_cap=enum_cap)
-    assert subgroup.elements is not None
-    state = CoverState(
-        index_map={r: i for i, r in enumerate(subgroup.elements)},
-        covered=bytearray(size),
-    )
+    covered: set[int] = set()
     x = 0
-    while state.covered_count < size:
+    while len(covered) < size:
         x += 1
-        state.x_current = x
         r = pow(x, n, p)
-        state.mark(r)
-        state.mark(p - r)
+        covered.add(r)
+        covered.add(p - r)
     lower, upper = chowla_london_bounds(p, n)
     return KResult(p=p, n=n, k=x, lower=lower, upper_exclusive=upper)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,11 +23,11 @@ from fractions import Fraction
 from functools import partial
 from statistics import StatisticsError, linear_regression
 
-from .errors import EmptyRange, InsufficientData, ScaleLimit, TrivialSubgroup
+from .errors import (EmptyRange, InsufficientData, InvariantViolation,
+                     ScaleLimit, TrivialSubgroup)
 from .expsums import empirical_delta, expsum_profile
-from .modmath import build_prime_context, factorize, primes_up_to
-from .residues import (BSGS_CAP_DEFAULT, ENUM_CAP_DEFAULT, compute_k,
-                       roots_of_unity_subgroup)
+from .modmath import SIEVE_CAP, build_prime_context, factorize, primes_up_to
+from .residues import ENUM_CAP_DEFAULT, compute_k, roots_of_unity_subgroup
 
 N_POLICIES = ("all_odd_divisors", "largest_odd_divisor", "fixed_n")
 
@@ -37,7 +38,11 @@ CSV_COLUMNS = ("p", "n", "k", "lower_num", "lower_den", "upper_num",
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Immutable sweep parameters; validated on construction."""
+    """Immutable sweep parameters; validated on construction.
+
+    Bad values raise ValueError; a p_max above SIEVE_CAP raises ScaleLimit
+    before the prime sieve is allocated.
+    """
 
     p_min: int
     p_max: int
@@ -48,11 +53,15 @@ class SweepConfig:
     with_expsums: bool = False
     workers: int = 1
     enum_cap: int = ENUM_CAP_DEFAULT
-    bsgs_cap: int = BSGS_CAP_DEFAULT
 
     def __post_init__(self) -> None:
+        if self.p_max > SIEVE_CAP:
+            raise ScaleLimit(
+                f"p_max = {self.p_max} exceeds the sieve cap {SIEVE_CAP}")
         if self.p_min < 5:
             raise ValueError(f"p_min must be >= 5, got {self.p_min}")
+        if self.n_min < 1:
+            raise ValueError(f"n_min must be >= 1, got {self.n_min}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
         if self.workers < 1:
@@ -61,6 +70,10 @@ class SweepConfig:
             raise ValueError(f"unknown n_policy {self.n_policy!r}")
         if self.n_policy == "fixed_n" and self.fixed_n is None:
             raise ValueError("n_policy 'fixed_n' requires fixed_n")
+        if self.fixed_n is not None and (self.fixed_n < 1
+                                         or self.fixed_n % 2 == 0):
+            raise ValueError(
+                f"fixed_n must be a positive odd integer, got {self.fixed_n}")
 
 
 @dataclass(frozen=True)
@@ -133,8 +146,7 @@ def enumerate_cases(config: SweepConfig) -> list[tuple[int, int]]:
 
 
 def run_case(p: int, n: int, *, with_expsums: bool = False,
-             enum_cap: int = ENUM_CAP_DEFAULT,
-             bsgs_cap: int = BSGS_CAP_DEFAULT) -> SweepRecord:
+             enum_cap: int = ENUM_CAP_DEFAULT) -> SweepRecord:
     """Compute one sweep record; cap overruns become skip records."""
     start = time.perf_counter()
     ctx = build_prime_context(p)
@@ -155,8 +167,9 @@ def run_case(p: int, n: int, *, with_expsums: bool = False,
                 delta = empirical_delta(profile)
             except TrivialSubgroup:
                 delta = None
-    if n >= 3:
-        assert result.sandwich_holds(), f"bound violation at (p={p}, n={n})"
+    if n >= 3 and not result.sandwich_holds():
+        raise InvariantViolation(f"bound violation at (p={p}, n={n}): "
+                                 f"k = {result.k}")
     elapsed = int(round((time.perf_counter() - start) * 1000))
     return SweepRecord(p=p, n=n, k=result.k, lower=result.lower,
                        upper_exclusive=result.upper_exclusive,
@@ -167,7 +180,7 @@ def run_case(p: int, n: int, *, with_expsums: bool = False,
 
 def _run_case_tuple(case: tuple[int, int], config: SweepConfig) -> SweepRecord:
     return run_case(case[0], case[1], with_expsums=config.with_expsums,
-                    enum_cap=config.enum_cap, bsgs_cap=config.bsgs_cap)
+                    enum_cap=config.enum_cap)
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
@@ -231,6 +244,22 @@ def _field_values(rec: SweepRecord, with_timings: bool) -> dict[str, object]:
     }
 
 
+def _write_rows(fh, records: list[SweepRecord], fmt: str,
+                with_timings: bool) -> None:
+    if fmt == "csv":
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for rec in records:
+            values = _field_values(rec, with_timings)
+            writer.writerow(["" if values[c] is None else values[c]
+                             for c in CSV_COLUMNS])
+    else:
+        for rec in records:
+            obj = _field_values(rec, with_timings)
+            obj["skip_reason"] = rec.skip_reason
+            fh.write(json.dumps(obj) + "\n")
+
+
 def write_records(records: list[SweepRecord], path: str, fmt: str = "csv", *,
                   with_timings: bool = False) -> None:
     """Persist records as CSV or JSONL (UTF-8, LF line endings).
@@ -240,22 +269,28 @@ def write_records(records: list[SweepRecord], path: str, fmt: str = "csv", *,
     identical sweeps byte-identical on disk; pass with_timings=True for
     profiling dumps.  JSONL rows carry an extra skip_reason key (null for
     completed cases) that CSV omits.
+
+    A regular file is written to a temporary file beside it, which then
+    replaces it in one step: a write that fails or is interrupted leaves
+    any earlier file as it was and no partial file behind.  A device or
+    pipe (/dev/stdout, a FIFO) is written directly.
     """
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if fmt == "csv":
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            for rec in records:
-                values = _field_values(rec, with_timings)
-                writer.writerow(["" if values[c] is None else values[c]
-                                 for c in CSV_COLUMNS])
-        else:
-            for rec in records:
-                obj = _field_values(rec, with_timings)
-                obj["skip_reason"] = rec.skip_reason
-                fh.write(json.dumps(obj) + "\n")
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            _write_rows(fh, records, fmt, with_timings)
+        return
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            _write_rows(fh, records, fmt, with_timings)
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _record_from_fields(values: dict[str, object]) -> SweepRecord:

@@ -7,12 +7,13 @@ from powres import build_prime_context, compute_k, expsum_profile, \
     orthogonality_decomposition, roots_of_unity_subgroup
 
 
-def run_cli(*argv, env_extra=None):
+def run_cli(*argv, env_extra=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "powres", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 def test_compute_human():
@@ -166,6 +167,35 @@ def test_sweep_bad_flag_exit_2(tmp_path):
     proc = run_cli("sweep", "--p-max", "100", "--format", "xml",
                    "--out", str(tmp_path / "x.csv"))
     assert proc.returncode == 2
+
+
+def test_sweep_with_expsums_reports_ratio_range(tmp_path):
+    out = str(tmp_path / "sweep.csv")
+    doc = json.loads(run_cli("sweep", "--p-max", "100", "--with-expsums",
+                             "--out", out, "--json").stdout)
+    assert 0 < doc["max_expsum_ratio_min"] <= doc["max_expsum_ratio_max"] < 1
+    proc = run_cli("sweep", "--p-max", "100", "--with-expsums", "--out", out)
+    assert "max|S|/|H|: [" in proc.stdout
+    plain = json.loads(run_cli("sweep", "--p-max", "100", "--out", out,
+                               "--json").stdout)
+    assert "max_expsum_ratio_min" not in plain
+
+
+def test_sieve_cap_exits_3_before_sieving(tmp_path):
+    out = str(tmp_path / "x.csv")
+    for argv in (("sweep", "--p-max", "1000000000000", "--out", out),
+                 ("verify", "--p-max", "1000000000000")):
+        proc = run_cli(*argv, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        assert "sieve cap" in proc.stderr
+    assert not os.path.exists(out)
+
+
+def test_sweep_even_fixed_n_exit_2(tmp_path):
+    proc = run_cli("sweep", "--p-max", "100", "--policy", "fixed_n",
+                   "--fixed-n", "4", "--out", str(tmp_path / "x.csv"))
+    assert proc.returncode == 2
+    assert "fixed_n" in proc.stderr
 
 
 def test_verify_passes_small_range():

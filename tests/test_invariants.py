@@ -1,0 +1,69 @@
+"""Invariant checks are explicit raises, so they still fire under python -O.
+
+Each check is reached by breaking one of its inputs in a child interpreter
+started with -O, where every plain `assert` is compiled away.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+SCRIPT = r"""
+import dataclasses
+import json
+import sys
+
+from powres import (InvariantViolation, PrimeContext, build_prime_context,
+                    expsums, nth_root_solutions, orthogonality_decomposition,
+                    principal_nth_root, residues, run_case, sweep)
+
+caught = {}
+
+
+def check(name, call):
+    try:
+        call()
+    except InvariantViolation as exc:
+        caught[name] = str(exc)
+
+
+ctx = build_prime_context(13)
+
+# n | t: a discrete log that n does not divide
+real_log = residues._bsgs_log
+residues._bsgs_log = lambda ctx, target: 1
+check("n_divides_t", lambda: principal_nth_root(ctx, 3, 8))
+residues._bsgs_log = real_log
+
+# root count: 12 has order 2 mod 13, so its "n-th roots of unity" collapse
+fake = PrimeContext(p=13, factors=ctx.factors, g=12)
+check("root_count", lambda: nth_root_solutions(fake, 3, 1))
+
+# sandwich: a k below the lower bound (p - 1)/(2n)
+real_k = sweep.compute_k
+sweep.compute_k = lambda ctx, n, **kw: dataclasses.replace(
+    real_k(ctx, n, **kw), k=0)
+check("sandwich", lambda: run_case(13, 3))
+sweep.compute_k = real_k
+
+# imaginary residue: purely imaginary subgroup sums cannot cancel
+real_profile = expsums.expsum_profile
+expsums.expsum_profile = lambda H: dataclasses.replace(
+    real_profile(H),
+    coset_values=tuple((a, 1j) for a, _ in real_profile(H).coset_values))
+check("imaginary_residue", lambda: orthogonality_decomposition(ctx, 3, 8, 6))
+expsums.expsum_profile = real_profile
+
+print(json.dumps({"optimize": sys.flags.optimize, "caught": caught}))
+"""
+
+
+def test_invariants_raise_under_python_O():
+    proc = subprocess.run([sys.executable, "-O", "-c", SCRIPT],
+                          capture_output=True, text=True, env=dict(os.environ))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["optimize"] == 1
+    assert sorted(doc["caught"]) == ["imaginary_residue", "n_divides_t",
+                                     "root_count", "sandwich"]

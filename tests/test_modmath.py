@@ -1,23 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from powres import (MODULUS_CAP, NotPrime, ScaleLimit, TooSmall,
-                    build_prime_context, factorize, is_prime, mulmod, powmod,
-                    primes_up_to)
-
-
-def naive_powmod(a, e, p):
-    """Square-and-multiply written out by hand, as an independent check."""
-    result = 1 % p
-    base = a % p
-    while e:
-        if e & 1:
-            result = result * base % p
-        base = base * base % p
-        e >>= 1
-    return result
+                    build_prime_context, factorize, is_prime, primes_up_to)
 
 
 def multiplicative_order(a, p):
@@ -26,47 +12,6 @@ def multiplicative_order(a, p):
         value = value * a % p
         order += 1
     return order
-
-
-def test_mulmod_examples():
-    assert mulmod(0, 5, 13) == 0
-    assert mulmod(6, 11, 13) == 1  # 66 mod 13
-    # largest admissible modulus: 2**62 mod (2**62 - 57)
-    assert mulmod(2**31, 2**31, 2**62 - 57) == 57
-
-
-def test_powmod_examples():
-    assert powmod(5, 0, 13) == 1
-    assert powmod(2, 12, 13) == 1
-    assert powmod(7, 3, 13) == 5  # 343 mod 13
-    assert powmod(0, 0, 13) == 1  # empty-product convention
-
-
-def test_mulmod_powmod_bulk_random_against_oracle():
-    rng = random.Random(20240901)
-    for _ in range(10**4):
-        p = rng.randrange(2, MODULUS_CAP)
-        a = rng.randrange(p)
-        b = rng.randrange(p)
-        assert mulmod(a, b, p) == (a * b) % p
-        e = rng.randrange(0, 2**16)
-        assert powmod(a, e, p) == naive_powmod(a, e, p)
-
-
-@given(st.integers(2, MODULUS_CAP - 1), st.data())
-@settings(max_examples=200)
-def test_mulmod_matches_bigint_product(p, data):
-    a = data.draw(st.integers(0, p - 1))
-    b = data.draw(st.integers(0, p - 1))
-    assert mulmod(a, b, p) == (a * b) % p
-
-
-@given(st.integers(2, MODULUS_CAP - 1), st.data())
-@settings(max_examples=100)
-def test_powmod_matches_handwritten_ladder(p, data):
-    a = data.draw(st.integers(0, p - 1))
-    e = data.draw(st.integers(0, 2**20))
-    assert powmod(a, e, p) == naive_powmod(a, e, p)
 
 
 def test_is_prime_examples():

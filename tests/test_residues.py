@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powres import (BadN, BadResidue, CoverState, NotResidue, ScaleLimit,
+from powres import (BadN, BadResidue, NotResidue, ScaleLimit,
                     brute_force_k, build_prime_context, chowla_london_bounds,
                     compute_k, is_nth_residue, nth_root_solutions,
                     odd_divisors, power_residue_subgroup, primes_up_to,
@@ -202,14 +202,6 @@ def test_signed_power_multisets_mirror(case):
     negatives = sorted(pow(p - x, n, p) for x in range(1, k + 1))
     mirrored = sorted(p - pow(x, n, p) for x in range(1, k + 1))
     assert negatives == mirrored
-
-
-def test_cover_state_tracks_population():
-    state = CoverState(index_map={5: 0, 8: 1, 12: 2, 1: 3},
-                       covered=bytearray(4))
-    for residue in (5, 5, 12, 1, 12):
-        state.mark(residue)
-    assert state.covered_count == 3 == sum(state.covered)
 
 
 def test_cover_index_keys_satisfy_residue_criterion(ctx13):

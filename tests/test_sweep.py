@@ -1,12 +1,15 @@
 import dataclasses
 import math
+import os
+import threading
 from fractions import Fraction
 
 import pytest
 
-from powres import (EmptyRange, FitResult, InsufficientData, SweepConfig,
-                    SweepRecord, enumerate_cases, fit_exponent, odd_divisors,
-                    read_records, run_case, run_sweep, write_records)
+from powres import (SIEVE_CAP, EmptyRange, FitResult, InsufficientData,
+                    ScaleLimit, SweepConfig, SweepRecord, enumerate_cases,
+                    fit_exponent, odd_divisors, read_records, run_case,
+                    run_sweep, write_records)
 from powres.sweep import CSV_COLUMNS
 
 
@@ -66,6 +69,17 @@ def test_config_validation():
         SweepConfig(p_min=5, p_max=10, n_policy="bogus")
     with pytest.raises(ValueError):
         SweepConfig(p_min=5, p_max=10, n_policy="fixed_n")
+
+
+def test_config_rejects_bad_sizes():
+    SweepConfig(p_min=5, p_max=SIEVE_CAP)
+    with pytest.raises(ScaleLimit):
+        SweepConfig(p_min=5, p_max=SIEVE_CAP + 1)
+    with pytest.raises(ValueError):
+        SweepConfig(p_min=5, p_max=10, n_min=0)
+    for bad in (4, 0, -3):
+        with pytest.raises(ValueError):
+            SweepConfig(p_min=5, p_max=10, n_policy="fixed_n", fixed_n=bad)
 
 
 def test_run_sweep_single_cases():
@@ -213,3 +227,38 @@ def test_identical_configs_identical_bytes(tmp_path):
         paths.append(path)
     blobs = [open(p, "rb").read() for p in paths]
     assert blobs[0] == blobs[1]
+
+
+def test_failed_write_keeps_earlier_file(tmp_path):
+    path = tmp_path / "records.jsonl"
+    write_records(run_sweep(SweepConfig(p_min=13, p_max=13)), str(path),
+                  "jsonl")
+    before = path.read_bytes()
+    # the second row cannot be serialized, so the write fails partway
+    unwritable = SweepRecord(p=17, n=1, k=8, normalized=1j)
+    good = run_sweep(SweepConfig(p_min=5, p_max=50))
+    with pytest.raises(TypeError):
+        write_records([good[0], unwritable], str(path), "jsonl")
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["records.jsonl"]
+
+
+def test_write_records_through_fifo_and_symlink(tmp_path):
+    records = run_sweep(SweepConfig(p_min=13, p_max=13))
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    chunks = []
+    reader = threading.Thread(target=lambda: chunks.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    write_records(records, str(fifo), "csv")
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert fifo.is_fifo()
+    assert chunks[0].startswith(b"p,n,k,")
+    target = tmp_path / "real.csv"
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    write_records(records, str(link), "csv")
+    assert link.is_symlink()
+    assert target.read_bytes() == chunks[0]

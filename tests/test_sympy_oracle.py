@@ -1,0 +1,36 @@
+"""sympy as an independent oracle for factoring, primitive roots and roots."""
+
+import random
+
+import pytest
+
+from powres import (build_prime_context, factorize, nth_root_solutions,
+                    odd_divisors, primes_up_to)
+
+sympy = pytest.importorskip("sympy")
+from sympy.ntheory import factorint, nthroot_mod, primitive_root  # noqa: E402
+
+PRIMES = [p for p in primes_up_to(3000) if p >= 5]
+
+
+def test_factorize_matches_factorint():
+    rng = random.Random(2024)
+    values = list(range(1, 3001)) + [rng.randrange(2, 1 << 62)
+                                     for _ in range(200)]
+    for m in values:
+        assert factorize(m) == sorted(factorint(m).items()), m
+
+
+def test_primitive_root_matches_sympy():
+    for p in PRIMES:
+        assert build_prime_context(p).g == primitive_root(p), p
+
+
+def test_root_sets_match_nthroot_mod():
+    rng = random.Random(7)
+    for p in PRIMES:
+        ctx = build_prime_context(p)
+        for n in odd_divisors(p - 1):
+            m = pow(rng.randrange(1, p), n, p)
+            expected = set(nthroot_mod(m, n, p, all_roots=True))
+            assert nth_root_solutions(ctx, n, m) == expected, (p, n, m)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import cos, fsum, pi, sin
 
 from .errors import (BadRadius, InvariantViolation, NotEnumerated,
-                     TrivialSubgroup, ZeroFrequency)
+                     ScaleLimit, TrivialSubgroup, ZeroFrequency)
 from .modmath import PrimeContext
 from .residues import (BSGS_CAP_DEFAULT, ENUM_CAP_DEFAULT, SubgroupSpec,
                        _root_coset, nth_root_solutions, principal_nth_root,
@@ -30,10 +30,11 @@ def _check_radius(p: int, K: int) -> None:
 
 
 def _elements(H: SubgroupSpec) -> tuple[int, ...]:
-    """H's element list; NotEnumerated when its order was above the cap."""
+    """H's elements; NotEnumerated if H or its cosets exceed the cap."""
     if H.elements is None:
-        raise NotEnumerated(
-            f"subgroup of order {H.order} exceeds the enumeration cap")
+        cosets = (H.p - 1) // H.order
+        raise NotEnumerated(f"subgroup of order {H.order} ({cosets} cosets) "
+                            "exceeds the enumeration cap")
     return H.elements
 
 
@@ -190,9 +191,12 @@ def orthogonality_decomposition(ctx: PrimeContext, n: int, m: int, K: int, *,
     the main term (n/p)*2K, and the rest is evaluated with one cached S
     value per coset.  The pairing r <-> p - r conjugates both factors, so
     the error sum is real; its imaginary residue is checked to be tiny.
+    The per-residue map holds p - 1 values, so p - 1 must fit enum_cap.
     """
     _check_radius(ctx.p, K)
     p = ctx.p
+    if p - 1 > enum_cap:
+        raise ScaleLimit(f"{p - 1} residues to map, above the cap {enum_cap}")
     H = roots_of_unity_subgroup(ctx, n, enum_cap=enum_cap)
     elements = _elements(H)
     x0 = principal_nth_root(ctx, n, m, bsgs_cap=bsgs_cap)

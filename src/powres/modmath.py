@@ -22,8 +22,7 @@ SIEVE_CAP = 1 << 28
 # 64-bit range), so the test below is exact, never probabilistic.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_TRIAL_BOUND = 10**6
-_trial_primes_cache: tuple[int, ...] | None = None
+_TRIAL_BOUND = 1 << 8  # needs no prime table; rho takes the rest
 
 
 def is_prime(m: int) -> bool:
@@ -59,13 +58,6 @@ def primes_up_to(n: int) -> list[int]:
         if sieve[q]:
             sieve[q * q :: q] = bytearray(len(range(q * q, n + 1, q)))
     return [i for i, flag in enumerate(sieve) if flag]
-
-
-def _trial_primes() -> tuple[int, ...]:
-    global _trial_primes_cache
-    if _trial_primes_cache is None:
-        _trial_primes_cache = tuple(primes_up_to(_TRIAL_BOUND))
-    return _trial_primes_cache
 
 
 def _brent_factor(n: int, x0: int, c: int) -> int:
@@ -115,38 +107,31 @@ def _rho_factor(n: int) -> int:
 def factorize(m: int) -> list[tuple[int, int]]:
     """Prime factorization of m >= 1 as [(prime, exponent), ...], ascending.
 
-    Trial division over a cached prime table up to 10**6, with early
-    primality escapes, then deterministic Pollard rho for what remains.
-    Returns [] for m == 1.
+    Trial division by 2 and the odd q below 2**8, then deterministic
+    Pollard rho for what remains.  Returns [] for m == 1.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     found: dict[int, int] = {}
     c = m
-    for q in _trial_primes():
-        if q * q > c:
-            break
+    q = 2
+    while q < _TRIAL_BOUND and q * q <= c:
         if c % q == 0:
             e = 0
             while c % q == 0:
                 c //= q
                 e += 1
             found[q] = e
-            if c > 1 and is_prime(c):
-                break
-    if c > 1:
-        if is_prime(c):
-            found[c] = found.get(c, 0) + 1
+        q += 1 if q == 2 else 2
+    # No prime below q divides c, so a divisor of c below q*q is prime.
+    stack = [c] if c > 1 else []
+    while stack:
+        v = stack.pop()
+        if v < q * q or is_prime(v):
+            found[v] = found.get(v, 0) + 1
         else:
-            stack = [c]
-            while stack:
-                v = stack.pop()
-                if is_prime(v):
-                    found[v] = found.get(v, 0) + 1
-                    continue
-                f = _rho_factor(v)
-                stack.append(f)
-                stack.append(v // f)
+            f = _rho_factor(v)
+            stack += (f, v // f)
     return sorted(found.items())
 
 

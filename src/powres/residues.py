@@ -33,8 +33,9 @@ def _require_valid_n(p: int, n: int) -> None:
 class SubgroupSpec:
     """Cyclic subgroup of F_p^* of order `order`, generated by `generator`.
 
-    `elements` holds (generator**j mod p for j = 0..order-1) when the order
-    is within the enumeration cap, else None.  `primitive_root` is the
+    `elements` holds (generator**j mod p for j = 0..order-1) when both the
+    order and the coset count (p - 1)/order, the length of a profile, are
+    within the enumeration cap, else None.  `primitive_root` is the
     ambient generator of F_p^*, kept so cosets can be indexed as powers of g.
     """
 
@@ -50,7 +51,7 @@ def _subgroup_of_order(ctx: PrimeContext, d: int, enum_cap: int) -> SubgroupSpec
     p = ctx.p
     w = pow(ctx.g, (p - 1) // d, p)
     elements = None
-    if d <= enum_cap:
+    if d <= enum_cap and (p - 1) // d <= enum_cap:
         elems = []
         h = 1
         for _ in range(d):

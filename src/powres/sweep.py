@@ -5,9 +5,10 @@ p - 1 under the configured policy and the n > p**epsilon hypothesis filter,
 computes k(p, n) (optionally with subgroup-sum statistics) per case, and
 fits the growth exponent of k against p on a log-log scale.
 
-Work is partitioned per (p, n) case and dispatched to a process pool;
-workers share only the immutable config, and the collector orders results
-by (p, n), so output files are byte-identical for any worker count.
+Work is partitioned per prime: one pool task builds the prime's context
+(factored p - 1, least primitive root) once and runs its cases in ascending
+n.  Workers share only the immutable config, and results are joined in prime
+order, so output files are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from statistics import StatisticsError, linear_regression
 from .errors import (EmptyRange, InsufficientData, InvariantViolation,
                      ScaleLimit, TrivialSubgroup)
 from .expsums import empirical_delta, expsum_profile
-from .modmath import SIEVE_CAP, build_prime_context, factorize, primes_up_to
+from .modmath import (SIEVE_CAP, PrimeContext, build_prime_context,
+                      factorize, primes_up_to)
 from .residues import ENUM_CAP_DEFAULT, compute_k, roots_of_unity_subgroup
 
 N_POLICIES = ("all_odd_divisors", "largest_odd_divisor", "fixed_n")
@@ -111,18 +113,22 @@ class FitResult:
     n_points: int
 
 
-def odd_divisors(m: int) -> list[int]:
-    """Ascending odd divisors of m (the divisors of m's odd part)."""
+def _odd_divisors_of(factors) -> list[int]:
     divisors = [1]
-    for q, e in factorize(m):
+    for q, e in factors:
         if q == 2:
             continue
         divisors = [d * q**i for d in divisors for i in range(e + 1)]
     return sorted(divisors)
 
 
-def _case_ns(p: int, config: SweepConfig) -> list[int]:
-    candidates = odd_divisors(p - 1)
+def odd_divisors(m: int) -> list[int]:
+    """Ascending odd divisors of m (the divisors of m's odd part)."""
+    return _odd_divisors_of(factorize(m))
+
+
+def _case_ns(p: int, factors, config: SweepConfig) -> list[int]:
+    candidates = _odd_divisors_of(factors)
     if config.n_policy == "largest_odd_divisor":
         candidates = candidates[-1:]
     elif config.n_policy == "fixed_n":
@@ -133,23 +139,28 @@ def _case_ns(p: int, config: SweepConfig) -> list[int]:
     return kept
 
 
+def _primes(config: SweepConfig) -> list[int]:
+    primes = [p for p in primes_up_to(config.p_max) if p >= config.p_min]
+    if not primes:
+        raise EmptyRange(f"no primes in [{config.p_min}, {config.p_max}]")
+    return primes
+
+
 def enumerate_cases(config: SweepConfig) -> list[tuple[int, int]]:
     """All (p, n) pairs under the policy and hypothesis filters, sorted.
 
     Raises EmptyRange when the prime range itself is empty; filters that
     merely reject every divisor yield an empty list instead.
     """
-    primes = [p for p in primes_up_to(config.p_max) if p >= config.p_min]
-    if not primes:
-        raise EmptyRange(f"no primes in [{config.p_min}, {config.p_max}]")
-    return sorted((p, n) for p in primes for n in _case_ns(p, config))
+    return [(p, n) for p in _primes(config)
+            for n in _case_ns(p, factorize(p - 1), config)]
 
 
-def run_case(p: int, n: int, *, with_expsums: bool = False,
-             enum_cap: int = ENUM_CAP_DEFAULT) -> SweepRecord:
-    """Compute one sweep record; cap overruns become skip records."""
+def _case_record(ctx: PrimeContext, n: int, with_expsums: bool,
+                 enum_cap: int) -> SweepRecord:
+    """One case of an already built prime; elapsed_ms excludes the context."""
+    p = ctx.p
     start = time.perf_counter()
-    ctx = build_prime_context(p)
     try:
         result = compute_k(ctx, n, enum_cap=enum_cap)
     except ScaleLimit as exc:
@@ -178,9 +189,17 @@ def run_case(p: int, n: int, *, with_expsums: bool = False,
                        elapsed_ms=elapsed)
 
 
-def _run_case_tuple(case: tuple[int, int], config: SweepConfig) -> SweepRecord:
-    return run_case(case[0], case[1], with_expsums=config.with_expsums,
-                    enum_cap=config.enum_cap)
+def run_case(p: int, n: int, *, with_expsums: bool = False,
+             enum_cap: int = ENUM_CAP_DEFAULT) -> SweepRecord:
+    """Compute one sweep record; cap overruns become skip records."""
+    return _case_record(build_prime_context(p), n, with_expsums, enum_cap)
+
+
+def _run_prime(p: int, config: SweepConfig) -> list[SweepRecord]:
+    """All of one prime's records, in ascending n, from one context."""
+    ctx = build_prime_context(p)
+    return [_case_record(ctx, n, config.with_expsums, config.enum_cap)
+            for n in _case_ns(p, ctx.factors, config)]
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
@@ -188,16 +207,16 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
 
     Per-case cap failures are recorded as skips and never abort the sweep.
     """
-    cases = enumerate_cases(config)
-    worker = partial(_run_case_tuple, config=config)
-    if config.workers == 1 or len(cases) <= 1:
-        records = [worker(case) for case in cases]
+    primes = _primes(config)
+    task = partial(_run_prime, config=config)
+    workers = min(config.workers, len(primes), os.cpu_count() or 1)
+    if workers == 1:
+        per_prime = map(task, primes)
     else:
-        chunk = max(1, len(cases) // (config.workers * 8))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(worker, cases, chunksize=chunk))
-    records.sort(key=lambda rec: (rec.p, rec.n))
-    return records
+        chunk = max(1, len(primes) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_prime = list(pool.map(task, primes, chunksize=chunk))
+    return [rec for records in per_prime for rec in records]
 
 
 def fit_exponent(records: list[SweepRecord]) -> FitResult:

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 
 from powres import build_prime_context, compute_k, expsum_profile, \
-    orthogonality_decomposition, roots_of_unity_subgroup
+    orthogonality_decomposition, roots_of_unity_subgroup, sweep
+from powres.cli import main
 
 
 def run_cli(*argv, env_extra=None, timeout=None):
@@ -105,6 +107,16 @@ def test_expsum_cap_exit_3():
     proc = run_cli("expsum", "13", "3", env_extra={"POWRES_ENUM_CAP": "2"})
     assert proc.returncode == 3
     assert proc.stdout == ""
+
+
+def test_coset_list_and_residue_map_exit_3_before_allocating():
+    # (p - 1)/1 = 2**22 + 14 cosets or residues, just above the default cap
+    for argv in (("expsum", "4194319", "1"),
+                 ("decompose", "4194319", "1", "5", "10"),
+                 ("decompose", "4194319", "3", "1", "10")):
+        proc = run_cli(*argv, timeout=10)
+        assert proc.returncode == 3, proc.stderr
+        assert "cap" in proc.stderr and proc.stdout == ""
 
 
 def test_decompose_matches_library():
@@ -210,6 +222,24 @@ def test_verify_includes_the_13_3_case():
     doc = json.loads(run_cli("verify", "--p-max", "13", "--json").stdout)
     assert doc["cases"] >= 2  # (7,3) and (13,3) at least
     assert doc["ok"] is True
+
+
+def test_verify_capped_case_is_a_size_error():
+    proc = run_cli("verify", "--p-max", "13",
+                   env_extra={"POWRES_ENUM_CAP": "2"})
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: case p=13 n=3 ")
+    assert "cap 2" in proc.stderr
+
+
+def test_verify_sandwich_failure_exits_1(monkeypatch, capsys):
+    real_k = sweep.compute_k
+    monkeypatch.setattr(sweep, "compute_k", lambda ctx, n, **kw:
+                        dataclasses.replace(real_k(ctx, n, **kw), k=0))
+    assert main(["verify", "--p-max", "13"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "bound violation" in err
 
 
 def test_verify_empty_range_exit_2():

@@ -2,14 +2,15 @@ import dataclasses
 import math
 import os
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from powres import (SIEVE_CAP, EmptyRange, FitResult, InsufficientData,
                     ScaleLimit, SweepConfig, SweepRecord, enumerate_cases,
-                    fit_exponent, odd_divisors, read_records, run_case,
-                    run_sweep, write_records)
+                    fit_exponent, modmath, odd_divisors, primes_up_to,
+                    read_records, run_case, run_sweep, sweep, write_records)
 from powres.sweep import CSV_COLUMNS
 
 
@@ -125,6 +126,59 @@ def test_worker_counts_agree_in_memory():
     strip = lambda recs: [dataclasses.replace(r, elapsed_ms=None)
                           for r in recs]
     assert strip(run_sweep(cfg1)) == strip(run_sweep(cfg3))
+
+
+def test_one_context_and_one_factorisation_per_prime(monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((modmath, "factorize"), (sweep, "factorize"),
+                         (sweep, "build_prime_context")):
+        count(module, name)
+    primes = [p for p in primes_up_to(2000) if p >= 5]
+    run_sweep(SweepConfig(p_min=5, p_max=2000, workers=1))
+    assert calls == {"build_prime_context": len(primes),
+                     "factorize": len(primes)}
+    calls.clear()
+    enumerate_cases(SweepConfig(p_min=5, p_max=2000))
+    assert calls == {"factorize": len(primes)}
+
+
+def test_pool_size_is_bounded_by_primes_and_cpus(monkeypatch):
+    # A fake executor runs map in-process, so no process is ever started.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    serial = run_sweep(SweepConfig(p_min=5, p_max=50))
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    pooled = run_sweep(SweepConfig(p_min=5, p_max=50, workers=100000))
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    run_sweep(SweepConfig(p_min=5, p_max=20, workers=100000))  # 6 primes
+    run_sweep(SweepConfig(p_min=5, p_max=50, workers=3))
+    assert sizes == [4, 6, 3]
+    strip = lambda recs: [dataclasses.replace(r, elapsed_ms=None)
+                          for r in recs]
+    assert strip(pooled) == strip(serial)
 
 
 def test_fit_exponent_linear():

@@ -17,6 +17,10 @@ def test_factorize_matches_factorint():
     rng = random.Random(2024)
     values = list(range(1, 3001)) + [rng.randrange(2, 1 << 62)
                                      for _ in range(200)]
+    # q**2, q*q' and 2*q around the trial-division bound 2**8
+    near_bound = (251, 257, 263, 269)
+    values += [q * r for q in near_bound for r in (2,) + near_bound]
+    values.append(2**61 - 1)
     for m in values:
         assert factorize(m) == sorted(factorint(m).items()), m
 

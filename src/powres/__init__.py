@@ -4,8 +4,8 @@ Core quantities: for an odd n | p - 1, k(p, n) is the least k such that the
 n-th powers of +-1, ..., +-k yield every non-zero n-th power residue mod p.
 The package computes k exactly, checks it against the elementary
 Chowla-London sandwich, evaluates the subgroup exponential sums that drive
-its sublinear growth, and runs batch sweeps that fit the empirical growth
-exponent.
+its sublinear growth, and runs batch sweeps that fit the least-squares
+slope of ln k against ln p.
 """
 
 from .errors import (BadN, BadRadius, BadResidue, EmptyRange,
@@ -19,9 +19,9 @@ from .expsums import (DecompositionResult, ExpSumProfile,
                       subgroup_expsum)
 from .modmath import (MODULUS_CAP, SIEVE_CAP, PrimeContext,
                       build_prime_context, factorize, is_prime, primes_up_to)
-from .residues import (BSGS_CAP_DEFAULT, ENUM_CAP_DEFAULT, KResult,
-                       SubgroupSpec, brute_force_k, chowla_london_bounds,
-                       compute_k, is_nth_residue, nth_root_solutions,
+from .residues import (ENUM_CAP_DEFAULT, KResult, SubgroupSpec,
+                       brute_force_k, chowla_london_bounds, compute_k,
+                       is_nth_residue, nth_root_solutions,
                        power_residue_subgroup, principal_nth_root,
                        roots_of_unity_subgroup)
 from .sweep import (CSV_COLUMNS, FitResult, SweepConfig, SweepRecord,

@@ -5,10 +5,11 @@ empty ranges), 3 scale-cap error.  JSON mode writes the data document to
 stdout and keeps diagnostics on stderr, so pipelines never see mixed
 streams.
 
-Size caps can be overridden through the environment:
+One size cap can be overridden through the environment:
 
-    POWRES_ENUM_CAP   subgroup enumeration cap (default 2**22)
-    POWRES_BSGS_CAP   discrete-log modulus cap (default 2**40)
+    POWRES_ENUM_CAP   most entries of any input-sized container: R, H and
+                      its cosets, the n roots, the baby-step table and the
+                      p - 1 decomposition terms (default 2**22)
 """
 
 from __future__ import annotations
@@ -23,17 +24,13 @@ from .errors import (EmptyRange, InsufficientData, PowresError, ScaleLimit,
 from .expsums import (empirical_delta, expsum_profile,
                       orthogonality_decomposition)
 from .modmath import build_prime_context
-from .residues import (BSGS_CAP_DEFAULT, ENUM_CAP_DEFAULT, _root_coset,
-                       compute_k, principal_nth_root, roots_of_unity_subgroup)
+from .residues import (ENUM_CAP_DEFAULT, _root_coset, compute_k,
+                       principal_nth_root, roots_of_unity_subgroup)
 from .sweep import SweepConfig, fit_exponent, run_sweep, write_records
 
 
 def _enum_cap() -> int:
     return int(os.environ.get("POWRES_ENUM_CAP", ENUM_CAP_DEFAULT))
-
-
-def _bsgs_cap() -> int:
-    return int(os.environ.get("POWRES_BSGS_CAP", BSGS_CAP_DEFAULT))
 
 
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
@@ -71,8 +68,8 @@ def cmd_compute(args) -> int:
 
 def cmd_roots(args) -> int:
     ctx = build_prime_context(args.p)
-    x0 = principal_nth_root(ctx, args.n, args.m, bsgs_cap=_bsgs_cap())
-    roots = sorted(_root_coset(ctx, args.n, x0))
+    x0 = principal_nth_root(ctx, args.n, args.m, enum_cap=_enum_cap())
+    roots = sorted(_root_coset(ctx, args.n, x0, _enum_cap()))
     h_gen = pow(ctx.g, (ctx.p - 1) // args.n, ctx.p)
     payload = {"p": ctx.p, "n": args.n, "m": args.m % ctx.p, "roots": roots,
                "x0": x0, "g": ctx.g, "h_generator": h_gen}
@@ -122,8 +119,7 @@ def cmd_expsum(args) -> int:
 def cmd_decompose(args) -> int:
     ctx = build_prime_context(args.p)
     result = orthogonality_decomposition(ctx, args.n, args.m, args.K,
-                                         enum_cap=_enum_cap(),
-                                         bsgs_cap=_bsgs_cap())
+                                         enum_cap=_enum_cap())
     residual = abs(result.reconstruction - result.exact_count)
     payload = {
         "p": ctx.p, "n": args.n, "m": result.m, "K": result.K,

@@ -26,11 +26,11 @@ class NotResidue(PowresError):
 
 
 class ScaleLimit(PowresError):
-    """The request exceeds a documented size cap (enumeration, BSGS, modulus)."""
+    """The request exceeds a size cap (enumeration, sieve, modulus)."""
 
 
 class NotEnumerated(ScaleLimit):
-    """The subgroup's element list was not materialized (order above cap)."""
+    """A container sized by the input would exceed the enumeration cap."""
 
 
 class BadRadius(PowresError):

@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass
 from math import cos, fsum, pi, sin
 
-from .errors import (BadRadius, InvariantViolation, NotEnumerated,
-                     ScaleLimit, TrivialSubgroup, ZeroFrequency)
+from .errors import (BadRadius, InvariantViolation, TrivialSubgroup,
+                     ZeroFrequency)
 from .modmath import PrimeContext
-from .residues import (BSGS_CAP_DEFAULT, ENUM_CAP_DEFAULT, SubgroupSpec,
+from .residues import (ENUM_CAP_DEFAULT, SubgroupSpec, _require_enumerable,
                        _root_coset, nth_root_solutions, principal_nth_root,
                        roots_of_unity_subgroup)
 
@@ -29,20 +29,11 @@ def _check_radius(p: int, K: int) -> None:
         raise BadRadius(f"K must be an integer in [1, {(p - 1) // 2}], got {K}")
 
 
-def _elements(H: SubgroupSpec) -> tuple[int, ...]:
-    """H's elements; NotEnumerated if H or its cosets exceed the cap."""
-    if H.elements is None:
-        cosets = (H.p - 1) // H.order
-        raise NotEnumerated(f"subgroup of order {H.order} ({cosets} cosets) "
-                            "exceeds the enumeration cap")
-    return H.elements
-
-
 def subgroup_expsum(H: SubgroupSpec, a: int) -> complex:
     """S(a, H) = sum of e(a*h/p) over the enumerated subgroup."""
     p = H.p
     a %= p
-    angles = [2.0 * pi * ((a * h) % p) / p for h in _elements(H)]
+    angles = [2.0 * pi * ((a * h) % p) / p for h in H.elements]
     return complex(fsum(map(cos, angles)), fsum(map(sin, angles)))
 
 
@@ -67,7 +58,6 @@ class ExpSumProfile:
 
 def expsum_profile(H: SubgroupSpec) -> ExpSumProfile:
     """Evaluate S once per coset of H in F_p^* and summarize."""
-    _elements(H)  # NotEnumerated before any work
     p, d = H.p, H.order
     values = []
     rep = 1
@@ -152,7 +142,7 @@ def _count_within(p: int, roots: set[int], K: int) -> int:
 
 
 def count_solutions_in_interval(ctx: PrimeContext, n: int, m: int, K: int, *,
-                                bsgs_cap: int = BSGS_CAP_DEFAULT) -> int:
+                                enum_cap: int = ENUM_CAP_DEFAULT) -> int:
     """Exact number of solutions of x**n == m with 1 <= |x| <= K.
 
     Each root s in [1, p-1] meets the symmetric interval iff s <= K
@@ -160,7 +150,7 @@ def count_solutions_in_interval(ctx: PrimeContext, n: int, m: int, K: int, *,
     with 2K <= p - 1 the two cases are exclusive.
     """
     _check_radius(ctx.p, K)
-    roots = nth_root_solutions(ctx, n, m, bsgs_cap=bsgs_cap)
+    roots = nth_root_solutions(ctx, n, m, enum_cap=enum_cap)
     return _count_within(ctx.p, roots, K)
 
 
@@ -183,42 +173,38 @@ class DecompositionResult:
 
 def orthogonality_decomposition(ctx: PrimeContext, n: int, m: int, K: int, *,
                                 enum_cap: int = ENUM_CAP_DEFAULT,
-                                bsgs_cap: int = BSGS_CAP_DEFAULT,
                                 ) -> DecompositionResult:
     """Split the interval root count into its main and error terms.
 
     count = (1/p) * sum_{r=1}^{p} S(r*x0, H) * D(r, K): the r = p term is
-    the main term (n/p)*2K, and the rest is evaluated with one cached S
-    value per coset.  The pairing r <-> p - r conjugates both factors, so
-    the error sum is real; its imaginary residue is checked to be tiny.
-    The per-residue map holds p - 1 values, so p - 1 must fit enum_cap.
+    the main term (n/p)*2K.  The rest walks r = x0**-1 * g**j, so r*x0 =
+    g**j and S is the profile value of coset j mod (p-1)/n.  The pairing
+    r <-> p - r conjugates both factors, so the error sum is real; its
+    imaginary residue is checked to be tiny.  p - 1 must fit enum_cap.
     """
     _check_radius(ctx.p, K)
     p = ctx.p
-    if p - 1 > enum_cap:
-        raise ScaleLimit(f"{p - 1} residues to map, above the cap {enum_cap}")
+    _require_enumerable(p - 1, enum_cap, "decomposition sum")
     H = roots_of_unity_subgroup(ctx, n, enum_cap=enum_cap)
-    elements = _elements(H)
-    x0 = principal_nth_root(ctx, n, m, bsgs_cap=bsgs_cap)
-    profile = expsum_profile(H)
-    s_by_residue: dict[int, complex] = {}
-    for a, s in profile.coset_values:
-        for h in elements:
-            s_by_residue[a * h % p] = s
+    x0 = principal_nth_root(ctx, n, m, enum_cap=enum_cap)
+    coset_values = expsum_profile(H).coset_values
+    cosets = len(coset_values)
     real_parts = []
     imag_parts = []
-    for r in range(1, p):
+    r = pow(x0, -1, p)
+    for j in range(p - 1):
         d_val = interval_expsum(p, r, K).real
-        s_val = s_by_residue[r * x0 % p]
+        s_val = coset_values[j % cosets][1]
         real_parts.append(s_val.real * d_val)
         imag_parts.append(s_val.imag * d_val)
+        r = r * ctx.g % p
     error_term = fsum(real_parts) / p
     imag_residue = fsum(imag_parts) / p
     if not abs(imag_residue) < 1e-6:
         raise InvariantViolation(
             f"error sum has imaginary part {imag_residue:.3e}, not ~0")
     main_term = (n / p) * 2.0 * K
-    exact = _count_within(p, _root_coset(ctx, n, x0), K)
+    exact = _count_within(p, _root_coset(ctx, n, x0, enum_cap), K)
     return DecompositionResult(m=m, K=K, exact_count=exact,
                                main_term=main_term, error_term=error_term,
                                reconstruction=main_term + error_term)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .errors import NotPrime, ScaleLimit, TooSmall
+from .errors import InvariantViolation, NotPrime, ScaleLimit, TooSmall
 
 MODULUS_CAP = 1 << 62
 
@@ -101,7 +101,7 @@ def _rho_factor(n: int) -> int:
         g = _brent_factor(n, 2, c)
         if 1 < g < n:
             return g
-    raise AssertionError(f"rho parameter schedule exhausted for {n}")
+    raise InvariantViolation(f"rho parameter schedule exhausted for {n}")
 
 
 def factorize(m: int) -> list[tuple[int, int]]:

@@ -12,12 +12,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import (BadN, BadResidue, InvariantViolation, NotResidue,
-                     ScaleLimit)
+from .errors import (BadN, BadResidue, InvariantViolation, NotEnumerated,
+                     NotResidue)
 from .modmath import PrimeContext
 
 ENUM_CAP_DEFAULT = 1 << 22
-BSGS_CAP_DEFAULT = 1 << 40
+
+
+def _require_enumerable(count: int, enum_cap: int, what: str) -> None:
+    """The one size guard: call it before building a container whose size
+    the input sets, so an oversized request fails before it allocates."""
+    if count > enum_cap:
+        raise NotEnumerated(
+            f"{what} would hold {count} entries, above the cap {enum_cap}")
 
 
 def _require_valid_n(p: int, n: int) -> None:
@@ -33,9 +40,9 @@ def _require_valid_n(p: int, n: int) -> None:
 class SubgroupSpec:
     """Cyclic subgroup of F_p^* of order `order`, generated by `generator`.
 
-    `elements` holds (generator**j mod p for j = 0..order-1) when both the
-    order and the coset count (p - 1)/order, the length of a profile, are
-    within the enumeration cap, else None.  `primitive_root` is the
+    `elements` holds generator**j mod p for j = 0..order-1.  A spec is only
+    built when both the order and the coset count (p - 1)/order, the length
+    of a profile, are within the enumeration cap.  `primitive_root` is the
     ambient generator of F_p^*, kept so cosets can be indexed as powers of g.
     """
 
@@ -43,23 +50,22 @@ class SubgroupSpec:
     order: int
     generator: int
     primitive_root: int
-    elements: tuple[int, ...] | None = None
+    elements: tuple[int, ...]
 
 
 def _subgroup_of_order(ctx: PrimeContext, d: int, enum_cap: int) -> SubgroupSpec:
     """The unique subgroup of order d | p - 1, generated by g**((p-1)/d)."""
     p = ctx.p
+    _require_enumerable(max(d, (p - 1) // d), enum_cap,
+                        "subgroup or its coset list")
     w = pow(ctx.g, (p - 1) // d, p)
-    elements = None
-    if d <= enum_cap and (p - 1) // d <= enum_cap:
-        elems = []
-        h = 1
-        for _ in range(d):
-            elems.append(h)
-            h = h * w % p
-        elements = tuple(elems)
+    elems = []
+    h = 1
+    for _ in range(d):
+        elems.append(h)
+        h = h * w % p
     return SubgroupSpec(p=p, order=d, generator=w,
-                        primitive_root=ctx.g, elements=elements)
+                        primitive_root=ctx.g, elements=tuple(elems))
 
 
 def roots_of_unity_subgroup(ctx: PrimeContext, n: int, *,
@@ -101,21 +107,21 @@ def _bsgs_log(ctx: PrimeContext, target: int) -> int:
         if j is not None:
             return i * m + j
         cur = cur * giant % p
-    raise AssertionError("every unit has a discrete log to a primitive root")
+    raise InvariantViolation(f"no discrete log of {target} to base {g}")
 
 
 def principal_nth_root(ctx: PrimeContext, n: int, m: int, *,
-                       bsgs_cap: int = BSGS_CAP_DEFAULT) -> int:
+                       enum_cap: int = ENUM_CAP_DEFAULT) -> int:
     """One solution x0 of x**n == m mod p, chosen canonically.
 
     With m = g**t (t found by baby-step giant-step), n divides t and
-    x0 = g**(t/n).  Moduli at or above the BSGS cap are rejected rather
-    than falling back to probabilistic root extraction.
+    x0 = g**(t/n).  The baby-step table has isqrt(p - 2) + 1 entries; a
+    table above the enumeration cap is refused rather than falling back
+    to probabilistic root extraction.
     """
     if not is_nth_residue(ctx, n, m):
         raise NotResidue(f"{m} is not an n-th power residue mod {ctx.p}")
-    if ctx.p >= bsgs_cap:
-        raise ScaleLimit(f"p = {ctx.p} exceeds the BSGS cap {bsgs_cap}")
+    _require_enumerable(isqrt(ctx.p - 2) + 1, enum_cap, "baby-step table")
     t = _bsgs_log(ctx, m % ctx.p)
     if t % n != 0:
         raise InvariantViolation(
@@ -123,9 +129,11 @@ def principal_nth_root(ctx: PrimeContext, n: int, m: int, *,
     return pow(ctx.g, t // n, ctx.p)
 
 
-def _root_coset(ctx: PrimeContext, n: int, x0: int) -> set[int]:
+def _root_coset(ctx: PrimeContext, n: int, x0: int,
+                enum_cap: int) -> set[int]:
     """All n solutions of x**n == x0**n: {x0 * g**((p-1)j/n) : j = 0..n-1}."""
     p = ctx.p
+    _require_enumerable(n, enum_cap, "root coset")
     w = pow(ctx.g, (p - 1) // n, p)
     roots = set()
     x = x0
@@ -138,9 +146,10 @@ def _root_coset(ctx: PrimeContext, n: int, x0: int) -> set[int]:
 
 
 def nth_root_solutions(ctx: PrimeContext, n: int, m: int, *,
-                       bsgs_cap: int = BSGS_CAP_DEFAULT) -> set[int]:
+                       enum_cap: int = ENUM_CAP_DEFAULT) -> set[int]:
     """All n solutions of x**n == m mod p: {x0 * g**((p-1)j/n) : j = 0..n-1}."""
-    return _root_coset(ctx, n, principal_nth_root(ctx, n, m, bsgs_cap=bsgs_cap))
+    x0 = principal_nth_root(ctx, n, m, enum_cap=enum_cap)
+    return _root_coset(ctx, n, x0, enum_cap)
 
 
 @dataclass(frozen=True)
@@ -182,9 +191,7 @@ def compute_k(ctx: PrimeContext, n: int, *,
     _require_valid_n(ctx.p, n)
     p = ctx.p
     size = (p - 1) // n
-    if size > enum_cap:
-        raise ScaleLimit(
-            f"residue subgroup has {size} elements, above the cap {enum_cap}")
+    _require_enumerable(size, enum_cap, "residue subgroup")
     covered: set[int] = set()
     x = 0
     while len(covered) < size:
@@ -211,4 +218,4 @@ def brute_force_k(ctx: PrimeContext, n: int) -> int:
         hit |= {pow(p - x, n, p) for x in range(1, k + 1)}
         if len(hit) == len(target):
             return k
-    raise AssertionError("k = (p-1)/2 always covers the full residue set")
+    raise InvariantViolation("k = (p-1)/2 did not cover the residue set")

@@ -3,7 +3,7 @@
 A sweep walks primes in [p_min, p_max], pairs each with odd divisors n of
 p - 1 under the configured policy and the n > p**epsilon hypothesis filter,
 computes k(p, n) (optionally with subgroup-sum statistics) per case, and
-fits the growth exponent of k against p on a log-log scale.
+fits ln k against ln p by least squares.
 
 Work is partitioned per prime: one pool task builds the prime's context
 (factored p - 1, least primitive root) once and runs its cases in ascending
@@ -70,8 +70,10 @@ class SweepConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.n_policy not in N_POLICIES:
             raise ValueError(f"unknown n_policy {self.n_policy!r}")
-        if self.n_policy == "fixed_n" and self.fixed_n is None:
-            raise ValueError("n_policy 'fixed_n' requires fixed_n")
+        if (self.fixed_n is None) == (self.n_policy == "fixed_n"):
+            raise ValueError(f"fixed_n = {self.fixed_n} with n_policy "
+                             f"{self.n_policy!r}: n_policy 'fixed_n' needs "
+                             "fixed_n, and no other policy reads it")
         if self.fixed_n is not None and (self.fixed_n < 1
                                          or self.fixed_n % 2 == 0):
             raise ValueError(
@@ -167,17 +169,15 @@ def _case_record(ctx: PrimeContext, n: int, with_expsums: bool,
         elapsed = int(round((time.perf_counter() - start) * 1000))
         return SweepRecord(p=p, n=n, k=None, elapsed_ms=elapsed,
                            skip_reason=str(exc))
-    max_ratio = None
-    delta = None
+    max_ratio = delta = None
     if with_expsums:
-        subgroup = roots_of_unity_subgroup(ctx, n, enum_cap=enum_cap)
-        if subgroup.elements is not None:
-            profile = expsum_profile(subgroup)
+        try:
+            profile = expsum_profile(
+                roots_of_unity_subgroup(ctx, n, enum_cap=enum_cap))
             max_ratio = profile.max_magnitude / n
-            try:
-                delta = empirical_delta(profile)
-            except TrivialSubgroup:
-                delta = None
+            delta = empirical_delta(profile)
+        except (ScaleLimit, TrivialSubgroup):
+            pass  # over the cap: both stay None; |H| = 1: delta does
     if n >= 3 and not result.sandwich_holds():
         raise InvariantViolation(f"bound violation at (p={p}, n={n}): "
                                  f"k = {result.k}")
@@ -222,9 +222,9 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
 def fit_exponent(records: list[SweepRecord]) -> FitResult:
     """OLS of log k on log p over the completed records.
 
-    The slope is the empirical growth exponent of k(p, n) in p; a slope
-    below 1 is the trend the covering bound predicts, though no effective
-    constant is asserted.
+    The slope is a growth exponent only when the cases hold |R| = (p - 1)/n
+    (or log n / log p) fixed.  Under the largest-odd-divisor policy |R| is
+    the 2-power part of p - 1, so the slope tracks that valuation instead.
     """
     points = [(rec.log_p, rec.log_k) for rec in records
               if rec.k is not None and rec.k >= 1]

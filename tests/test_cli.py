@@ -78,7 +78,7 @@ def test_roots_not_residue_exit_1():
 
 
 def test_roots_bsgs_cap_exit_3():
-    proc = run_cli("roots", "13", "3", "8", env_extra={"POWRES_BSGS_CAP": "5"})
+    proc = run_cli("roots", "13", "3", "8", env_extra={"POWRES_ENUM_CAP": "3"})
     assert proc.returncode == 3
 
 
@@ -105,6 +105,11 @@ def test_expsum_trivial_subgroup_reports_na():
 
 def test_expsum_cap_exit_3():
     proc = run_cli("expsum", "13", "3", env_extra={"POWRES_ENUM_CAP": "2"})
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    # 5003 roots, above the cap, though the 101-entry BSGS table fits it
+    proc = run_cli("roots", "10007", "5003", "1",
+                   env_extra={"POWRES_ENUM_CAP": "1000"})
     assert proc.returncode == 3
     assert proc.stdout == ""
 
@@ -208,6 +213,13 @@ def test_sweep_even_fixed_n_exit_2(tmp_path):
                    "--fixed-n", "4", "--out", str(tmp_path / "x.csv"))
     assert proc.returncode == 2
     assert "fixed_n" in proc.stderr
+    # --fixed-n without --policy fixed_n would be ignored
+    for policy in ((), ("--policy", "largest_odd_divisor")):
+        proc = run_cli("sweep", "--p-min", "29", "--p-max", "31", *policy,
+                       "--fixed-n", "5", "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2
+        assert "fixed_n" in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_verify_passes_small_range():

@@ -40,6 +40,9 @@ residues._bsgs_log = real_log
 fake = PrimeContext(p=13, factors=ctx.factors, g=12)
 check("root_count", lambda: nth_root_solutions(fake, 3, 1))
 
+# discrete log: 8 is not a power of the false primitive root 12
+check("bsgs_log", lambda: principal_nth_root(fake, 3, 8))
+
 # sandwich: a k below the lower bound (p - 1)/(2n)
 real_k = sweep.compute_k
 sweep.compute_k = lambda ctx, n, **kw: dataclasses.replace(
@@ -65,5 +68,5 @@ def test_invariants_raise_under_python_O():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["optimize"] == 1
-    assert sorted(doc["caught"]) == ["imaginary_residue", "n_divides_t",
-                                     "root_count", "sandwich"]
+    assert sorted(doc["caught"]) == ["bsgs_log", "imaginary_residue",
+                                     "n_divides_t", "root_count", "sandwich"]

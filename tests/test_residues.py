@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powres import (BadN, BadResidue, NotResidue, ScaleLimit,
+from powres import (BadN, BadResidue, NotEnumerated, NotResidue, ScaleLimit,
                     brute_force_k, build_prime_context, chowla_london_bounds,
                     compute_k, is_nth_residue, nth_root_solutions,
                     odd_divisors, power_residue_subgroup, primes_up_to,
@@ -50,9 +50,8 @@ def test_power_residue_subgroup_examples(ctx7, ctx11, ctx13):
 
 
 def test_enumeration_cap_leaves_elements_unset(ctx13):
-    H = roots_of_unity_subgroup(ctx13, 3, enum_cap=2)
-    assert H.elements is None
-    assert H.order == 3
+    with pytest.raises(NotEnumerated):
+        roots_of_unity_subgroup(ctx13, 3, enum_cap=2)
 
 
 @given(case_strategy)
@@ -108,7 +107,9 @@ def test_principal_root_is_canonical(ctx13):
 
 def test_bsgs_cap_rejects_large_moduli(ctx13):
     with pytest.raises(ScaleLimit):
-        nth_root_solutions(ctx13, 3, 8, bsgs_cap=13)
+        nth_root_solutions(ctx13, 3, 8, enum_cap=3)
+    with pytest.raises(NotEnumerated):
+        nth_root_solutions(ctx13, 3, 1, enum_cap=2)
 
 
 def test_root_sets_match_scan_exhaustively_small():

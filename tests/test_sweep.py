@@ -81,6 +81,9 @@ def test_config_rejects_bad_sizes():
     for bad in (4, 0, -3):
         with pytest.raises(ValueError):
             SweepConfig(p_min=5, p_max=10, n_policy="fixed_n", fixed_n=bad)
+    for policy in ("all_odd_divisors", "largest_odd_divisor"):
+        with pytest.raises(ValueError, match="fixed_n"):
+            SweepConfig(p_min=29, p_max=31, n_policy=policy, fixed_n=5)
 
 
 def test_run_sweep_single_cases():

@@ -12,11 +12,11 @@ from .errors import (BadN, BadRadius, BadResidue, EmptyRange,
                      InsufficientData, InvariantViolation, NotEnumerated,
                      NotPrime, NotResidue, PowresError, ScaleLimit, TooSmall,
                      TrivialSubgroup, ZeroFrequency)
-from .expsums import (DecompositionResult, ExpSumProfile,
+from .expsums import (DecompositionResult, ExpSumProfile, PhaseTable,
                       count_solutions_in_interval, empirical_delta,
                       expsum_profile, harmonic_bound_check, interval_bound,
                       interval_expsum, orthogonality_decomposition,
-                      subgroup_expsum)
+                      phase_table, subgroup_expsum)
 from .modmath import (MODULUS_CAP, SIEVE_CAP, PrimeContext,
                       build_prime_context, factorize, is_prime, primes_up_to)
 from .residues import (ENUM_CAP_DEFAULT, KResult, SubgroupSpec,

@@ -7,9 +7,10 @@ streams.
 
 One size cap can be overridden through the environment:
 
-    POWRES_ENUM_CAP   most entries of any input-sized container: R, H and
-                      its cosets, the n roots, the baby-step table and the
-                      p - 1 decomposition terms (default 2**22)
+    POWRES_ENUM_CAP   most entries of any input-sized container: R, the
+                      n roots, the baby-step table, and the p - 1 phases of
+                      the expsum table and of the decomposition terms
+                      (default 2**22)
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import sys
 from .errors import (EmptyRange, InsufficientData, PowresError, ScaleLimit,
                      TrivialSubgroup)
 from .expsums import (empirical_delta, expsum_profile,
-                      orthogonality_decomposition)
+                      orthogonality_decomposition, phase_table)
 from .modmath import build_prime_context
-from .residues import (ENUM_CAP_DEFAULT, _root_coset, compute_k,
-                       principal_nth_root, roots_of_unity_subgroup)
+from .residues import (ENUM_CAP_DEFAULT, _require_valid_n, _root_coset,
+                       compute_k, principal_nth_root)
 from .sweep import SweepConfig, fit_exponent, run_sweep, write_records
 
 
@@ -84,8 +85,8 @@ def cmd_roots(args) -> int:
 
 def cmd_expsum(args) -> int:
     ctx = build_prime_context(args.p)
-    subgroup = roots_of_unity_subgroup(ctx, args.n, enum_cap=_enum_cap())
-    profile = expsum_profile(subgroup)
+    _require_valid_n(ctx.p, args.n)
+    profile = expsum_profile(phase_table(ctx, enum_cap=_enum_cap()), args.n)
     try:
         delta = empirical_delta(profile)
     except TrivialSubgroup:

@@ -1,27 +1,31 @@
 """Exponential sums over multiplicative subgroups and interval kernels.
 
 S(a, H) = sum_{h in H} e(a*h/p) with e(x) = exp(2*pi*i*x).  S is constant on
-cosets a*H (reindexing h -> h'*h), so a profile stores one value per coset:
-(p-1)/|H| sums of |H| terms each, i.e. p - 1 phase evaluations total instead
-of the O(p*|H|) full scan.
+cosets a*H (reindexing h -> h'*h), so a profile stores one value per coset.
+With a = g**i and H = <g**m>, m = (p-1)/|H|, the products a*h are g**(i+m*t)
+and S(g**i, H) is the Gauss period sum_t E[i + m*t] of the table
+E[j] = e(g**j/p).  Since -1 = g**((p-1)/2), E[j + (p-1)/2] = conj(E[j]), so
+the table keeps only its first half: (p-1)/2 phase evaluations per prime,
+shared by every n, instead of the O(p*|H|) full scan.
 
-Every phase is reduced exactly in integer arithmetic ((a*h) mod p) before the
-single trigonometric evaluation, and partial sums accumulate through
+Every phase is reduced exactly in integer arithmetic (g**j mod p) before its
+single trigonometric evaluation, and coset sums accumulate through
 math.fsum, so no angle recurrences can drift.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from math import cos, fsum, pi, sin
+from operator import indexOf
 
-from .errors import (BadRadius, InvariantViolation, TrivialSubgroup,
+from .errors import (BadN, BadRadius, InvariantViolation, TrivialSubgroup,
                      ZeroFrequency)
 from .modmath import PrimeContext
 from .residues import (ENUM_CAP_DEFAULT, SubgroupSpec, _require_enumerable,
-                       _root_coset, nth_root_solutions, principal_nth_root,
-                       roots_of_unity_subgroup)
+                       _root_coset, nth_root_solutions, principal_nth_root)
 
 
 def _check_radius(p: int, K: int) -> None:
@@ -38,12 +42,47 @@ def subgroup_expsum(H: SubgroupSpec, a: int) -> complex:
 
 
 @dataclass(frozen=True)
+class PhaseTable:
+    """cos and sin of 2*pi*r/p for r = g**j mod p, j = 0..(p-1)/2 - 1.
+
+    The second half of the table is the conjugate of the first, since
+    g**(j + (p-1)/2) = -g**j; one table serves the profile of every
+    subgroup of F_p^*.
+    """
+
+    p: int
+    g: int
+    cos: array
+    sin: array
+
+
+def phase_table(ctx: PrimeContext, *,
+                enum_cap: int = ENUM_CAP_DEFAULT) -> PhaseTable:
+    """Build the half table of e(g**j/p) in one walk r <- r*g mod p.
+
+    The table stands for all p - 1 phases, so p - 1 must fit enum_cap.
+    """
+    p, g = ctx.p, ctx.g
+    _require_enumerable(p - 1, enum_cap, "phase table")
+    scale = 2.0 * pi
+    angles = array("d")
+    r = 1
+    for _ in range((p - 1) // 2):
+        angles.append(scale * r / p)
+        r = r * g % p
+    return PhaseTable(p=p, g=g, cos=array("d", map(cos, angles)),
+                      sin=array("d", map(sin, angles)))
+
+
+@dataclass(frozen=True)
 class ExpSumProfile:
     """Per-coset values of S(a, H) plus summary statistics.
 
     coset_values lists (representative g**i, S) for i = 0..(p-1)/|H| - 1,
     which by coset constancy covers every a in F_p^*.  max_magnitude is the
-    maximum of |S(a)| over a != 0; parseval_residual is the absolute defect
+    maximum of |S(a)| over a != 0, and argmax_a the first coset attaining
+    it; for odd |H| the cosets of a and -a hold exact conjugates, so it is
+    the lower of the pair.  parseval_residual is the absolute defect
     |sum_{a=0}^{p-1} |S(a)|^2 - p*|H||, where the a = 0 term |H|^2 is
     included even though the maximum excludes it.
     """
@@ -56,27 +95,44 @@ class ExpSumProfile:
     parseval_residual: float
 
 
-def expsum_profile(H: SubgroupSpec) -> ExpSumProfile:
-    """Evaluate S once per coset of H in F_p^* and summarize."""
-    p, d = H.p, H.order
-    values = []
-    rep = 1
-    for _ in range((p - 1) // d):
-        values.append((rep, subgroup_expsum(H, rep)))
-        rep = rep * H.primitive_root % p
-    max_magnitude = -1.0
-    argmax_a = 0
-    for a, s in values:
-        magnitude = abs(s)
-        if magnitude > max_magnitude:
-            max_magnitude, argmax_a = magnitude, a
-    total_square = d * fsum(abs(s) ** 2 for _, s in values) + float(d * d)
+def _powers(g: int, p: int):
+    """g**0, g**1, ... mod p, one modular product per step."""
+    r = 1
+    while True:
+        yield r
+        r = r * g % p
+
+
+def expsum_profile(table: PhaseTable, d: int) -> ExpSumProfile:
+    """Evaluate S once per coset of the order-d subgroup and summarize.
+
+    With m = (p-1)/d and h = (p-1)/2, coset i sums the table slice [i::m]
+    plus the conjugate of the slice [(i+h) % m::m].  For odd d that second
+    coset is the coset of -g**i, whose value is the exact conjugate, so
+    only half the cosets are summed; for even d the two slices coincide
+    and S is real.
+    """
+    p, g, cos_t, sin_t = table.p, table.g, table.cos, table.sin
+    if d < 1 or (p - 1) % d:
+        raise BadN(f"d must divide p - 1 = {p - 1}, got {d}")
+    m = (p - 1) // d
+    c = (p - 1) // 2 % m  # coset of -1: m/2 for odd d, 0 for even d
+    sums: list[complex] = [0j] * m
+    for i in range(c or m):
+        j = i + c
+        s = complex(fsum(cos_t[i::m]) + fsum(cos_t[j::m]),
+                    fsum(sin_t[i::m]) - fsum(sin_t[j::m]))
+        sums[i] = s
+        if c:
+            sums[j] = s.conjugate()
+    max_magnitude = max(map(abs, sums))
+    total_square = d * fsum(abs(s) ** 2 for s in sums) + float(d * d)
     return ExpSumProfile(
         p=p,
         subgroup_order=d,
-        coset_values=tuple(values),
+        coset_values=tuple(zip(_powers(g, p), sums)),
         max_magnitude=max_magnitude,
-        argmax_a=argmax_a,
+        argmax_a=pow(g, indexOf(map(abs, sums), max_magnitude), p),
         parseval_residual=abs(total_square - p * d),
     )
 
@@ -185,9 +241,9 @@ def orthogonality_decomposition(ctx: PrimeContext, n: int, m: int, K: int, *,
     _check_radius(ctx.p, K)
     p = ctx.p
     _require_enumerable(p - 1, enum_cap, "decomposition sum")
-    H = roots_of_unity_subgroup(ctx, n, enum_cap=enum_cap)
     x0 = principal_nth_root(ctx, n, m, enum_cap=enum_cap)
-    coset_values = expsum_profile(H).coset_values
+    coset_values = expsum_profile(phase_table(ctx, enum_cap=enum_cap),
+                                  n).coset_values
     cosets = len(coset_values)
     real_parts = []
     imag_parts = []

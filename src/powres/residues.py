@@ -41,31 +41,26 @@ class SubgroupSpec:
     """Cyclic subgroup of F_p^* of order `order`, generated by `generator`.
 
     `elements` holds generator**j mod p for j = 0..order-1.  A spec is only
-    built when both the order and the coset count (p - 1)/order, the length
-    of a profile, are within the enumeration cap.  `primitive_root` is the
-    ambient generator of F_p^*, kept so cosets can be indexed as powers of g.
+    built when its order is within the enumeration cap.
     """
 
     p: int
     order: int
     generator: int
-    primitive_root: int
     elements: tuple[int, ...]
 
 
 def _subgroup_of_order(ctx: PrimeContext, d: int, enum_cap: int) -> SubgroupSpec:
     """The unique subgroup of order d | p - 1, generated by g**((p-1)/d)."""
     p = ctx.p
-    _require_enumerable(max(d, (p - 1) // d), enum_cap,
-                        "subgroup or its coset list")
+    _require_enumerable(d, enum_cap, "subgroup")
     w = pow(ctx.g, (p - 1) // d, p)
     elems = []
     h = 1
     for _ in range(d):
         elems.append(h)
         h = h * w % p
-    return SubgroupSpec(p=p, order=d, generator=w,
-                        primitive_root=ctx.g, elements=tuple(elems))
+    return SubgroupSpec(p=p, order=d, generator=w, elements=tuple(elems))
 
 
 def roots_of_unity_subgroup(ctx: PrimeContext, n: int, *,

@@ -26,10 +26,10 @@ from statistics import StatisticsError, linear_regression
 
 from .errors import (EmptyRange, InsufficientData, InvariantViolation,
                      ScaleLimit, TrivialSubgroup)
-from .expsums import empirical_delta, expsum_profile
+from .expsums import PhaseTable, empirical_delta, expsum_profile, phase_table
 from .modmath import (SIEVE_CAP, PrimeContext, build_prime_context,
                       factorize, primes_up_to)
-from .residues import ENUM_CAP_DEFAULT, compute_k, roots_of_unity_subgroup
+from .residues import ENUM_CAP_DEFAULT, compute_k
 
 N_POLICIES = ("all_odd_divisors", "largest_odd_divisor", "fixed_n")
 
@@ -101,7 +101,10 @@ class SweepRecord:
 
     @property
     def log_k(self) -> float:
-        assert self.k is not None and self.k >= 1
+        if self.k is None or self.k < 1:
+            raise InvariantViolation(
+                f"log k of (p={self.p}, n={self.n}) needs k >= 1, "
+                f"got {self.k}")
         return math.log(self.k)
 
 
@@ -158,9 +161,22 @@ def enumerate_cases(config: SweepConfig) -> list[tuple[int, int]]:
             for n in _case_ns(p, factorize(p - 1), config)]
 
 
-def _case_record(ctx: PrimeContext, n: int, with_expsums: bool,
+def _expsum_table(ctx: PrimeContext, with_expsums: bool,
+                  enum_cap: int) -> PhaseTable | None:
+    """The prime's phase table; None without expsums or above the cap."""
+    if not with_expsums:
+        return None
+    try:
+        return phase_table(ctx, enum_cap=enum_cap)
+    except ScaleLimit:
+        return None
+
+
+def _case_record(ctx: PrimeContext, n: int, table: PhaseTable | None,
                  enum_cap: int) -> SweepRecord:
-    """One case of an already built prime; elapsed_ms excludes the context."""
+    """One case of an already built prime; elapsed_ms excludes the context
+    and the phase table, which every case of the prime shares.  Without a
+    table the expsum fields stay None."""
     p = ctx.p
     start = time.perf_counter()
     try:
@@ -170,14 +186,13 @@ def _case_record(ctx: PrimeContext, n: int, with_expsums: bool,
         return SweepRecord(p=p, n=n, k=None, elapsed_ms=elapsed,
                            skip_reason=str(exc))
     max_ratio = delta = None
-    if with_expsums:
+    if table is not None:
+        profile = expsum_profile(table, n)
+        max_ratio = profile.max_magnitude / n
         try:
-            profile = expsum_profile(
-                roots_of_unity_subgroup(ctx, n, enum_cap=enum_cap))
-            max_ratio = profile.max_magnitude / n
             delta = empirical_delta(profile)
-        except (ScaleLimit, TrivialSubgroup):
-            pass  # over the cap: both stay None; |H| = 1: delta does
+        except TrivialSubgroup:
+            pass  # |H| = 1: delta stays None
     if n >= 3 and not result.sandwich_holds():
         raise InvariantViolation(f"bound violation at (p={p}, n={n}): "
                                  f"k = {result.k}")
@@ -192,14 +207,19 @@ def _case_record(ctx: PrimeContext, n: int, with_expsums: bool,
 def run_case(p: int, n: int, *, with_expsums: bool = False,
              enum_cap: int = ENUM_CAP_DEFAULT) -> SweepRecord:
     """Compute one sweep record; cap overruns become skip records."""
-    return _case_record(build_prime_context(p), n, with_expsums, enum_cap)
+    ctx = build_prime_context(p)
+    return _case_record(ctx, n, _expsum_table(ctx, with_expsums, enum_cap),
+                        enum_cap)
 
 
 def _run_prime(p: int, config: SweepConfig) -> list[SweepRecord]:
-    """All of one prime's records, in ascending n, from one context."""
+    """All of one prime's records, in ascending n, from one context and at
+    most one phase table."""
     ctx = build_prime_context(p)
-    return [_case_record(ctx, n, config.with_expsums, config.enum_cap)
-            for n in _case_ns(p, ctx.factors, config)]
+    ns = _case_ns(p, ctx.factors, config)
+    table = _expsum_table(ctx, config.with_expsums and bool(ns),
+                          config.enum_cap)
+    return [_case_record(ctx, n, table, config.enum_cap) for n in ns]
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:

@@ -15,9 +15,8 @@ from powres import (SweepConfig, build_prime_context, brute_force_k,
                     compute_k, expsum_profile, fit_exponent,
                     harmonic_bound_check, interval_bound, interval_expsum,
                     nth_root_solutions, odd_divisors,
-                    orthogonality_decomposition, primes_up_to, run_sweep,
-                    write_records)
-from powres.residues import _subgroup_of_order
+                    orthogonality_decomposition, phase_table, primes_up_to,
+                    run_sweep, write_records)
 
 
 def report(num, name, ok, detail=""):
@@ -79,9 +78,9 @@ def test_criterion_03_root_solution_sets():
 def test_criterion_04_parseval_identity():
     worst = 0.0
     for p in (101, 1009, 5003):
-        ctx = build_prime_context(p)
+        table = phase_table(build_prime_context(p))
         for n in odd_divisors(p - 1):
-            profile = expsum_profile(_subgroup_of_order(ctx, n, 1 << 22))
+            profile = expsum_profile(table, n)
             worst = max(worst, profile.parseval_residual / (p * n))
     report(4, "Parseval identity sum |S|^2 = p|H|", worst < 1e-8,
            f" (worst relative residual {worst:.3e})")
@@ -125,10 +124,10 @@ def test_criterion_06_reconstruction_identity():
 def test_criterion_07_subtrivial_maximum():
     worst = 0.0
     for p in (101, 1009, 5003):
-        ctx = build_prime_context(p)
+        table = phase_table(build_prime_context(p))
         divisors = [d for d in range(2, p - 1) if (p - 1) % d == 0]
         for d in divisors:
-            profile = expsum_profile(_subgroup_of_order(ctx, d, 1 << 22))
+            profile = expsum_profile(table, d)
             worst = max(worst, profile.max_magnitude / d)
     report(7, "max |S|/|H| strictly below 1 on proper subgroups",
            worst < 1.0, f" (worst ratio 1 - {1.0 - worst:.3e})")

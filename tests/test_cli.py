@@ -4,8 +4,8 @@ import os
 import subprocess
 import sys
 
-from powres import build_prime_context, compute_k, expsum_profile, \
-    orthogonality_decomposition, roots_of_unity_subgroup, sweep
+from powres import build_prime_context, cli, compute_k, expsum_profile, \
+    orthogonality_decomposition, phase_table, sweep
 from powres.cli import main
 
 
@@ -84,7 +84,7 @@ def test_roots_bsgs_cap_exit_3():
 
 def test_expsum_summary_and_profile():
     ctx = build_prime_context(13)
-    profile = expsum_profile(roots_of_unity_subgroup(ctx, 3))
+    profile = expsum_profile(phase_table(ctx), 3)
     doc = json.loads(run_cli("expsum", "13", "3", "--json").stdout)
     assert abs(doc["max_magnitude"] - profile.max_magnitude) < 1e-12
     assert doc["subgroup_order"] == 3
@@ -112,6 +112,34 @@ def test_expsum_cap_exit_3():
                    env_extra={"POWRES_ENUM_CAP": "1000"})
     assert proc.returncode == 3
     assert proc.stdout == ""
+    # the phase table stands for p - 1 = 1008 phases, above the cap
+    proc = run_cli("expsum", "1009", "63",
+                   env_extra={"POWRES_ENUM_CAP": "1000"})
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+
+
+def test_sweep_over_the_table_cap_keeps_k(tmp_path):
+    out = str(tmp_path / "capped.jsonl")
+    proc = run_cli("sweep", "--p-min", "1009", "--p-max", "1013",
+                   "--with-expsums", "--out", out, "--format", "jsonl",
+                   env_extra={"POWRES_ENUM_CAP": "1000"})
+    assert proc.returncode == 0, proc.stderr
+    with open(out, encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh]
+    assert {r["p"] for r in rows} == {1009, 1013}
+    for r in rows:
+        assert r["k"] is not None and r["skip_reason"] is None
+        assert r["max_expsum_ratio"] is None and r["delta_emp"] is None
+
+
+def test_expsum_bad_n_exits_before_the_table(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "phase_table",
+                        lambda *args, **kwargs: built.append(args))
+    assert main(["expsum", "13", "2"]) == 1
+    assert "must be odd" in capsys.readouterr().err
+    assert built == []
 
 
 def test_coset_list_and_residue_map_exit_3_before_allocating():

@@ -6,13 +6,14 @@ from math import fsum
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powres import (BadRadius, NotEnumerated, NotResidue, ScaleLimit,
+from powres import (BadN, BadRadius, NotEnumerated, NotResidue, ScaleLimit,
                     TrivialSubgroup, ZeroFrequency, build_prime_context,
                     count_solutions_in_interval, empirical_delta,
                     expsum_profile, harmonic_bound_check, interval_bound,
                     interval_expsum, odd_divisors,
-                    orthogonality_decomposition, power_residue_subgroup,
-                    primes_up_to, roots_of_unity_subgroup, subgroup_expsum)
+                    orthogonality_decomposition, phase_table,
+                    power_residue_subgroup, primes_up_to,
+                    roots_of_unity_subgroup, subgroup_expsum)
 from powres.residues import _subgroup_of_order
 
 PRIMES_SMALL = [p for p in primes_up_to(499) if p >= 5]
@@ -61,21 +62,68 @@ def test_phase_terms_have_unit_modulus(ctx13):
 
 
 def test_profile_examples(ctx7, ctx13):
-    trivial = roots_of_unity_subgroup(ctx7, 1)
-    assert abs(expsum_profile(trivial).max_magnitude - 1.0) < 1e-12
-    full = power_residue_subgroup(ctx13, 1)
-    assert abs(expsum_profile(full).max_magnitude - 1.0) < 1e-9
+    assert abs(expsum_profile(phase_table(ctx7), 1).max_magnitude
+               - 1.0) < 1e-12
+    assert abs(expsum_profile(phase_table(ctx13), 12).max_magnitude
+               - 1.0) < 1e-9
     H = roots_of_unity_subgroup(ctx13, 3)
-    profile = expsum_profile(H)
+    profile = expsum_profile(phase_table(ctx13), 3)
     assert len(profile.coset_values) == 4
     # oracle: direct evaluation over every a = 1..12
     direct_max = max(abs(subgroup_expsum(H, a)) for a in range(1, 13))
     assert abs(profile.max_magnitude - direct_max) < 1e-12
 
 
+TABLE_PRIMES = (7, 13, 31, 97, 101, 257, 1009)
+
+
+def test_phase_table_profile_matches_direct_sums():
+    for p in TABLE_PRIMES:
+        ctx = build_prime_context(p)
+        table = phase_table(ctx)
+        assert len(table.cos) == len(table.sin) == (p - 1) // 2
+        for d in all_divisors(p - 1):
+            H = _subgroup_of_order(ctx, d, 1 << 22)
+            profile = expsum_profile(table, d)
+            reps = [a for a, _ in profile.coset_values]
+            assert reps == [pow(ctx.g, i, p) for i in range((p - 1) // d)]
+            for a, s in profile.coset_values:
+                assert abs(s - subgroup_expsum(H, a)) < 1e-10 * d, (p, d, a)
+
+
+def test_phase_table_conjugate_cosets_are_exact():
+    for p in TABLE_PRIMES:
+        table = phase_table(build_prime_context(p))
+        h = (p - 1) // 2
+        for d in all_divisors(p - 1):
+            profile = expsum_profile(table, d)
+            values = [s for _, s in profile.coset_values]
+            m = len(values)
+            if d % 2:
+                # coset (i + h) % m holds -g**i: S(-a) = conj(S(a)) exactly
+                for i in range(m):
+                    assert values[(i + h) % m] == values[i].conjugate()
+                # argmax_a is the first maximum, the lower coset of its pair
+                first = min(i for i in range(m)
+                            if abs(values[i]) == profile.max_magnitude)
+                assert profile.argmax_a == profile.coset_values[first][0]
+            else:
+                assert all(s.imag == 0.0 for s in values), (p, d)
+
+
+def test_phase_table_cap_and_bad_order(ctx13):
+    assert len(phase_table(ctx13, enum_cap=12).cos) == 6
+    with pytest.raises(NotEnumerated):
+        phase_table(ctx13, enum_cap=11)
+    table = phase_table(ctx13)
+    for d in (0, 5, 24):
+        with pytest.raises(BadN):
+            expsum_profile(table, d)
+
+
 def test_profile_covers_every_unit_value(ctx13):
     H = roots_of_unity_subgroup(ctx13, 3)
-    profile = expsum_profile(H)
+    profile = expsum_profile(phase_table(ctx13), 3)
     by_coset = {}
     for a, s in profile.coset_values:
         for h in H.elements:
@@ -87,9 +135,9 @@ def test_profile_covers_every_unit_value(ctx13):
 
 def test_parseval_small_primes():
     for p in (13, 31, 101):
-        ctx = build_prime_context(p)
+        table = phase_table(build_prime_context(p))
         for d in all_divisors(p - 1):
-            profile = expsum_profile(_subgroup_of_order(ctx, d, 1 << 22))
+            profile = expsum_profile(table, d)
             assert profile.parseval_residual / (p * d) < 1e-8, (p, d)
 
 
@@ -123,24 +171,24 @@ def test_conjugate_symmetry():
 
 def test_strict_subtriviality_all_proper_subgroups():
     for p in [q for q in primes_up_to(101) if q >= 5]:
-        ctx = build_prime_context(p)
+        table = phase_table(build_prime_context(p))
         for d in all_divisors(p - 1):
             if d < 2 or d > p - 2:
                 continue
-            profile = expsum_profile(_subgroup_of_order(ctx, d, 1 << 22))
+            profile = expsum_profile(table, d)
             assert profile.max_magnitude <= d
             assert profile.max_magnitude / d < 1.0, (p, d)
 
 
 def test_empirical_delta_formula(ctx13):
-    profile = expsum_profile(roots_of_unity_subgroup(ctx13, 3))
+    profile = expsum_profile(phase_table(ctx13), 3)
     delta = empirical_delta(profile)
     assert delta > 0
     expected = -math.log(profile.max_magnitude / 3) / (3 * math.log(13))
     assert abs(delta - expected) < 1e-15
     with pytest.raises(TrivialSubgroup):
         empirical_delta(expsum_profile(
-            roots_of_unity_subgroup(build_prime_context(7), 1)))
+            phase_table(build_prime_context(7)), 1))
 
 
 def test_empirical_delta_synthetic_inversion():

@@ -15,8 +15,8 @@ import json
 import sys
 
 from powres import (InvariantViolation, PrimeContext, build_prime_context,
-                    expsums, nth_root_solutions, orthogonality_decomposition,
-                    principal_nth_root, residues, run_case, sweep)
+                    expsums, orthogonality_decomposition, principal_nth_root,
+                    residues, run_case, sweep)
 
 caught = {}
 
@@ -38,7 +38,7 @@ residues._bsgs_log = real_log
 
 # root count: 12 has order 2 mod 13, so its "n-th roots of unity" collapse
 fake = PrimeContext(p=13, factors=ctx.factors, g=12)
-check("root_count", lambda: nth_root_solutions(fake, 3, 1))
+check("root_count", lambda: residues._root_coset(fake, 3, 1, 1 << 22))
 
 # discrete log: 8 is not a power of the false primitive root 12
 check("bsgs_log", lambda: principal_nth_root(fake, 3, 8))
@@ -50,11 +50,14 @@ sweep.compute_k = lambda ctx, n, **kw: dataclasses.replace(
 check("sandwich", lambda: run_case(13, 3))
 sweep.compute_k = real_k
 
+# log k: a skipped record has no k
+check("log_k", lambda: sweep.SweepRecord(p=13, n=3, k=None).log_k)
+
 # imaginary residue: purely imaginary subgroup sums cannot cancel
 real_profile = expsums.expsum_profile
-expsums.expsum_profile = lambda H: dataclasses.replace(
-    real_profile(H),
-    coset_values=tuple((a, 1j) for a, _ in real_profile(H).coset_values))
+expsums.expsum_profile = lambda table, d: dataclasses.replace(
+    real_profile(table, d),
+    coset_values=tuple((a, 1j) for a, _ in real_profile(table, d).coset_values))
 check("imaginary_residue", lambda: orthogonality_decomposition(ctx, 3, 8, 6))
 expsums.expsum_profile = real_profile
 
@@ -69,4 +72,5 @@ def test_invariants_raise_under_python_O():
     doc = json.loads(proc.stdout)
     assert doc["optimize"] == 1
     assert sorted(doc["caught"]) == ["bsgs_log", "imaginary_residue",
-                                     "n_divides_t", "root_count", "sandwich"]
+                                     "log_k", "n_divides_t", "root_count",
+                                     "sandwich"]

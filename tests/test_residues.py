@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powres import (BadN, BadResidue, NotEnumerated, NotResidue, ScaleLimit,
-                    brute_force_k, build_prime_context, chowla_london_bounds,
-                    compute_k, is_nth_residue, nth_root_solutions,
-                    odd_divisors, power_residue_subgroup, primes_up_to,
-                    principal_nth_root, roots_of_unity_subgroup)
+from powres import (BadN, BadResidue, InvariantViolation, NotEnumerated,
+                    NotResidue, PrimeContext, ScaleLimit, brute_force_k,
+                    build_prime_context, chowla_london_bounds, compute_k,
+                    is_nth_residue, nth_root_solutions, odd_divisors,
+                    power_residue_subgroup, primes_up_to, principal_nth_root,
+                    roots_of_unity_subgroup)
+from powres.residues import _root_coset
 
 PRIMES_2000 = [p for p in primes_up_to(1999) if p >= 5]
 
@@ -110,6 +112,13 @@ def test_bsgs_cap_rejects_large_moduli(ctx13):
         nth_root_solutions(ctx13, 3, 8, enum_cap=3)
     with pytest.raises(NotEnumerated):
         nth_root_solutions(ctx13, 3, 1, enum_cap=2)
+
+
+def test_root_count_invariant_fires_on_a_false_primitive_root(ctx13):
+    # 12 has order 2 mod 13, so its powers give 1 root where 3 are due
+    fake = PrimeContext(p=13, factors=ctx13.factors, g=12)
+    with pytest.raises(InvariantViolation, match="found 1 roots, expected 3"):
+        _root_coset(fake, 3, 1, 1 << 22)
 
 
 def test_root_sets_match_scan_exhaustively_small():

@@ -154,6 +154,26 @@ def test_one_context_and_one_factorisation_per_prime(monkeypatch):
     assert calls == {"factorize": len(primes)}
 
 
+def test_one_phase_table_per_prime_with_cases(monkeypatch):
+    calls = Counter()
+    real_table = sweep.phase_table
+
+    def counted(ctx, **kwargs):
+        calls[ctx.p] += 1
+        return real_table(ctx, **kwargs)
+    monkeypatch.setattr(sweep, "phase_table", counted)
+    config = SweepConfig(p_min=5, p_max=2000, n_min=5, with_expsums=True)
+    records = run_sweep(config)
+    primes_with_cases = {p for p, _ in enumerate_cases(config)}
+    assert len(primes_with_cases) < len(
+        [p for p in primes_up_to(2000) if p >= 5])
+    assert calls == Counter(primes_with_cases)
+    assert all(r.max_expsum_ratio is not None for r in records)
+    calls.clear()
+    run_sweep(dataclasses.replace(config, with_expsums=False))
+    assert not calls
+
+
 def test_pool_size_is_bounded_by_primes_and_cpus(monkeypatch):
     # A fake executor runs map in-process, so no process is ever started.
     sizes = []

@@ -4,20 +4,12 @@ Exit codes are stable: 0 success, 1 domain error, 2 usage error (including
 empty ranges), 3 scale-cap error.  JSON mode writes the data document to
 stdout and keeps diagnostics on stderr, so pipelines never see mixed
 streams.
-
-One size cap can be overridden through the environment:
-
-    POWRES_ENUM_CAP   most entries of any input-sized container: R, the
-                      n roots, the baby-step table, and the p - 1 phases of
-                      the expsum table and of the decomposition terms
-                      (default 2**22)
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import (EmptyRange, InsufficientData, PowresError, ScaleLimit,
@@ -25,13 +17,9 @@ from .errors import (EmptyRange, InsufficientData, PowresError, ScaleLimit,
 from .expsums import (empirical_delta, expsum_profile,
                       orthogonality_decomposition, phase_table)
 from .modmath import build_prime_context
-from .residues import (ENUM_CAP_DEFAULT, _require_valid_n, _root_coset,
-                       compute_k, principal_nth_root)
+from .residues import (_require_valid_n, _root_coset, compute_k,
+                       principal_nth_root)
 from .sweep import SweepConfig, fit_exponent, run_sweep, write_records
-
-
-def _enum_cap() -> int:
-    return int(os.environ.get("POWRES_ENUM_CAP", ENUM_CAP_DEFAULT))
 
 
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
@@ -44,7 +32,7 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
 
 def cmd_compute(args) -> int:
     ctx = build_prime_context(args.p)
-    result = compute_k(ctx, args.n, enum_cap=_enum_cap())
+    result = compute_k(ctx, args.n)
     if args.n == 1:
         sandwich = "skipped"
     else:
@@ -69,8 +57,8 @@ def cmd_compute(args) -> int:
 
 def cmd_roots(args) -> int:
     ctx = build_prime_context(args.p)
-    x0 = principal_nth_root(ctx, args.n, args.m, enum_cap=_enum_cap())
-    roots = sorted(_root_coset(ctx, args.n, x0, _enum_cap()))
+    x0 = principal_nth_root(ctx, args.n, args.m)
+    roots = sorted(_root_coset(ctx, args.n, x0))
     h_gen = pow(ctx.g, (ctx.p - 1) // args.n, ctx.p)
     payload = {"p": ctx.p, "n": args.n, "m": args.m % ctx.p, "roots": roots,
                "x0": x0, "g": ctx.g, "h_generator": h_gen}
@@ -86,7 +74,7 @@ def cmd_roots(args) -> int:
 def cmd_expsum(args) -> int:
     ctx = build_prime_context(args.p)
     _require_valid_n(ctx.p, args.n)
-    profile = expsum_profile(phase_table(ctx, enum_cap=_enum_cap()), args.n)
+    profile = expsum_profile(phase_table(ctx), args.n)
     try:
         delta = empirical_delta(profile)
     except TrivialSubgroup:
@@ -119,8 +107,7 @@ def cmd_expsum(args) -> int:
 
 def cmd_decompose(args) -> int:
     ctx = build_prime_context(args.p)
-    result = orthogonality_decomposition(ctx, args.n, args.m, args.K,
-                                         enum_cap=_enum_cap())
+    result = orthogonality_decomposition(ctx, args.n, args.m, args.K)
     residual = abs(result.reconstruction - result.exact_count)
     payload = {
         "p": ctx.p, "n": args.n, "m": result.m, "K": result.K,
@@ -143,8 +130,7 @@ def cmd_sweep(args) -> int:
     config = SweepConfig(p_min=args.p_min, p_max=args.p_max,
                          n_min=args.n_min, epsilon=args.epsilon,
                          n_policy=args.policy, fixed_n=args.fixed_n,
-                         with_expsums=args.with_expsums, workers=args.workers,
-                         enum_cap=_enum_cap())
+                         with_expsums=args.with_expsums, workers=args.workers)
     records = run_sweep(config)
     write_records(records, args.out, args.format)
     completed = [r for r in records if r.k is not None]
@@ -184,7 +170,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     config = SweepConfig(p_min=5, p_max=args.p_max, n_min=3, epsilon=0.0,
-                         n_policy="all_odd_divisors", enum_cap=_enum_cap())
+                         n_policy="all_odd_divisors")
     records = run_sweep(config)
     for r in records:
         if r.k is None:

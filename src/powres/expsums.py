@@ -24,8 +24,8 @@ from operator import indexOf
 from .errors import (BadN, BadRadius, InvariantViolation, TrivialSubgroup,
                      ZeroFrequency)
 from .modmath import PrimeContext
-from .residues import (ENUM_CAP_DEFAULT, SubgroupSpec, _require_enumerable,
-                       _root_coset, nth_root_solutions, principal_nth_root)
+from .residues import (SubgroupSpec, _require_enumerable, _root_coset,
+                       nth_root_solutions, principal_nth_root)
 
 
 def _check_radius(p: int, K: int) -> None:
@@ -56,14 +56,13 @@ class PhaseTable:
     sin: array
 
 
-def phase_table(ctx: PrimeContext, *,
-                enum_cap: int = ENUM_CAP_DEFAULT) -> PhaseTable:
+def phase_table(ctx: PrimeContext) -> PhaseTable:
     """Build the half table of e(g**j/p) in one walk r <- r*g mod p.
 
-    The table stands for all p - 1 phases, so p - 1 must fit enum_cap.
+    The table stands for all p - 1 phases, so p - 1 must fit the cap.
     """
     p, g = ctx.p, ctx.g
-    _require_enumerable(p - 1, enum_cap, "phase table")
+    _require_enumerable(p - 1, "phase table")
     scale = 2.0 * pi
     angles = array("d")
     r = 1
@@ -197,8 +196,8 @@ def _count_within(p: int, roots: set[int], K: int) -> int:
     return sum(1 for s in roots if s <= K or p - s <= K)
 
 
-def count_solutions_in_interval(ctx: PrimeContext, n: int, m: int, K: int, *,
-                                enum_cap: int = ENUM_CAP_DEFAULT) -> int:
+def count_solutions_in_interval(ctx: PrimeContext, n: int, m: int,
+                                K: int) -> int:
     """Exact number of solutions of x**n == m with 1 <= |x| <= K.
 
     Each root s in [1, p-1] meets the symmetric interval iff s <= K
@@ -206,7 +205,7 @@ def count_solutions_in_interval(ctx: PrimeContext, n: int, m: int, K: int, *,
     with 2K <= p - 1 the two cases are exclusive.
     """
     _check_radius(ctx.p, K)
-    roots = nth_root_solutions(ctx, n, m, enum_cap=enum_cap)
+    roots = nth_root_solutions(ctx, n, m)
     return _count_within(ctx.p, roots, K)
 
 
@@ -227,23 +226,22 @@ class DecompositionResult:
     reconstruction: float
 
 
-def orthogonality_decomposition(ctx: PrimeContext, n: int, m: int, K: int, *,
-                                enum_cap: int = ENUM_CAP_DEFAULT,
-                                ) -> DecompositionResult:
+def orthogonality_decomposition(ctx: PrimeContext, n: int, m: int,
+                                K: int) -> DecompositionResult:
     """Split the interval root count into its main and error terms.
 
     count = (1/p) * sum_{r=1}^{p} S(r*x0, H) * D(r, K): the r = p term is
     the main term (n/p)*2K.  The rest walks r = x0**-1 * g**j, so r*x0 =
     g**j and S is the profile value of coset j mod (p-1)/n.  The pairing
     r <-> p - r conjugates both factors, so the error sum is real; its
-    imaginary residue is checked to be tiny.  p - 1 must fit enum_cap.
+    imaginary residue is checked to be tiny.  p - 1 must fit the
+    enumeration cap, checked before root finding builds its table.
     """
     _check_radius(ctx.p, K)
     p = ctx.p
-    _require_enumerable(p - 1, enum_cap, "decomposition sum")
-    x0 = principal_nth_root(ctx, n, m, enum_cap=enum_cap)
-    coset_values = expsum_profile(phase_table(ctx, enum_cap=enum_cap),
-                                  n).coset_values
+    _require_enumerable(p - 1, "decomposition sum")
+    x0 = principal_nth_root(ctx, n, m)
+    coset_values = expsum_profile(phase_table(ctx), n).coset_values
     cosets = len(coset_values)
     real_parts = []
     imag_parts = []
@@ -260,7 +258,7 @@ def orthogonality_decomposition(ctx: PrimeContext, n: int, m: int, K: int, *,
         raise InvariantViolation(
             f"error sum has imaginary part {imag_residue:.3e}, not ~0")
     main_term = (n / p) * 2.0 * K
-    exact = _count_within(p, _root_coset(ctx, n, x0, enum_cap), K)
+    exact = _count_within(p, _root_coset(ctx, n, x0), K)
     return DecompositionResult(m=m, K=K, exact_count=exact,
                                main_term=main_term, error_term=error_term,
                                reconstruction=main_term + error_term)

@@ -8,6 +8,7 @@ single magnitude x cover a symmetric pair of residues.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -19,12 +20,24 @@ from .modmath import PrimeContext
 ENUM_CAP_DEFAULT = 1 << 22
 
 
-def _require_enumerable(count: int, enum_cap: int, what: str) -> None:
+def _require_enumerable(count: int, what: str) -> None:
     """The one size guard: call it before building a container whose size
-    the input sets, so an oversized request fails before it allocates."""
-    if count > enum_cap:
+    the input sets, so an oversized request fails before it allocates.
+
+    The cap, POWRES_ENUM_CAP (default 2**22; not a positive integer raises
+    ValueError), is read from the environment here and nowhere else, on
+    every call, so pool workers see their parent's cap.  It bounds R, the
+    n roots, the baby-step table, and the p - 1 phases of the expsum table
+    and of the decomposition terms.
+    """
+    raw = os.environ.get("POWRES_ENUM_CAP", str(ENUM_CAP_DEFAULT))
+    cap = int(raw) if raw.isdecimal() else 0
+    if cap < 1:
+        raise ValueError(
+            f"POWRES_ENUM_CAP must be a positive integer, got {raw!r}")
+    if count > cap:
         raise NotEnumerated(
-            f"{what} would hold {count} entries, above the cap {enum_cap}")
+            f"{what} would hold {count} entries, above the cap {cap}")
 
 
 def _require_valid_n(p: int, n: int) -> None:
@@ -50,10 +63,10 @@ class SubgroupSpec:
     elements: tuple[int, ...]
 
 
-def _subgroup_of_order(ctx: PrimeContext, d: int, enum_cap: int) -> SubgroupSpec:
+def _subgroup_of_order(ctx: PrimeContext, d: int) -> SubgroupSpec:
     """The unique subgroup of order d | p - 1, generated by g**((p-1)/d)."""
     p = ctx.p
-    _require_enumerable(d, enum_cap, "subgroup")
+    _require_enumerable(d, "subgroup")
     w = pow(ctx.g, (p - 1) // d, p)
     elems = []
     h = 1
@@ -63,18 +76,16 @@ def _subgroup_of_order(ctx: PrimeContext, d: int, enum_cap: int) -> SubgroupSpec
     return SubgroupSpec(p=p, order=d, generator=w, elements=tuple(elems))
 
 
-def roots_of_unity_subgroup(ctx: PrimeContext, n: int, *,
-                            enum_cap: int = ENUM_CAP_DEFAULT) -> SubgroupSpec:
+def roots_of_unity_subgroup(ctx: PrimeContext, n: int) -> SubgroupSpec:
     """The order-n subgroup of n-th roots of unity mod p."""
     _require_valid_n(ctx.p, n)
-    return _subgroup_of_order(ctx, n, enum_cap)
+    return _subgroup_of_order(ctx, n)
 
 
-def power_residue_subgroup(ctx: PrimeContext, n: int, *,
-                           enum_cap: int = ENUM_CAP_DEFAULT) -> SubgroupSpec:
+def power_residue_subgroup(ctx: PrimeContext, n: int) -> SubgroupSpec:
     """The subgroup {x**n : x in F_p^*} of order (p - 1)/n, generated by g**n."""
     _require_valid_n(ctx.p, n)
-    return _subgroup_of_order(ctx, (ctx.p - 1) // n, enum_cap)
+    return _subgroup_of_order(ctx, (ctx.p - 1) // n)
 
 
 def is_nth_residue(ctx: PrimeContext, n: int, m: int) -> bool:
@@ -105,8 +116,7 @@ def _bsgs_log(ctx: PrimeContext, target: int) -> int:
     raise InvariantViolation(f"no discrete log of {target} to base {g}")
 
 
-def principal_nth_root(ctx: PrimeContext, n: int, m: int, *,
-                       enum_cap: int = ENUM_CAP_DEFAULT) -> int:
+def principal_nth_root(ctx: PrimeContext, n: int, m: int) -> int:
     """One solution x0 of x**n == m mod p, chosen canonically.
 
     With m = g**t (t found by baby-step giant-step), n divides t and
@@ -116,7 +126,7 @@ def principal_nth_root(ctx: PrimeContext, n: int, m: int, *,
     """
     if not is_nth_residue(ctx, n, m):
         raise NotResidue(f"{m} is not an n-th power residue mod {ctx.p}")
-    _require_enumerable(isqrt(ctx.p - 2) + 1, enum_cap, "baby-step table")
+    _require_enumerable(isqrt(ctx.p - 2) + 1, "baby-step table")
     t = _bsgs_log(ctx, m % ctx.p)
     if t % n != 0:
         raise InvariantViolation(
@@ -124,11 +134,10 @@ def principal_nth_root(ctx: PrimeContext, n: int, m: int, *,
     return pow(ctx.g, t // n, ctx.p)
 
 
-def _root_coset(ctx: PrimeContext, n: int, x0: int,
-                enum_cap: int) -> set[int]:
+def _root_coset(ctx: PrimeContext, n: int, x0: int) -> set[int]:
     """All n solutions of x**n == x0**n: {x0 * g**((p-1)j/n) : j = 0..n-1}."""
     p = ctx.p
-    _require_enumerable(n, enum_cap, "root coset")
+    _require_enumerable(n, "root coset")
     w = pow(ctx.g, (p - 1) // n, p)
     roots = set()
     x = x0
@@ -140,11 +149,9 @@ def _root_coset(ctx: PrimeContext, n: int, x0: int,
     return roots
 
 
-def nth_root_solutions(ctx: PrimeContext, n: int, m: int, *,
-                       enum_cap: int = ENUM_CAP_DEFAULT) -> set[int]:
+def nth_root_solutions(ctx: PrimeContext, n: int, m: int) -> set[int]:
     """All n solutions of x**n == m mod p: {x0 * g**((p-1)j/n) : j = 0..n-1}."""
-    x0 = principal_nth_root(ctx, n, m, enum_cap=enum_cap)
-    return _root_coset(ctx, n, x0, enum_cap)
+    return _root_coset(ctx, n, principal_nth_root(ctx, n, m))
 
 
 @dataclass(frozen=True)
@@ -172,8 +179,7 @@ def chowla_london_bounds(p: int, n: int) -> tuple[Fraction, Fraction]:
     return Fraction(p - 1, 2 * n), Fraction((n - 1) * p, 2 * n)
 
 
-def compute_k(ctx: PrimeContext, n: int, *,
-              enum_cap: int = ENUM_CAP_DEFAULT) -> KResult:
+def compute_k(ctx: PrimeContext, n: int) -> KResult:
     """Least k whose signed n-th powers cover every n-th power residue.
 
     Iterates x = 1, 2, ...; each step takes one modular exponentiation
@@ -186,7 +192,7 @@ def compute_k(ctx: PrimeContext, n: int, *,
     _require_valid_n(ctx.p, n)
     p = ctx.p
     size = (p - 1) // n
-    _require_enumerable(size, enum_cap, "residue subgroup")
+    _require_enumerable(size, "residue subgroup")
     covered: set[int] = set()
     x = 0
     while len(covered) < size:

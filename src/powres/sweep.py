@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -29,13 +30,17 @@ from .errors import (EmptyRange, InsufficientData, InvariantViolation,
 from .expsums import PhaseTable, empirical_delta, expsum_profile, phase_table
 from .modmath import (SIEVE_CAP, PrimeContext, build_prime_context,
                       factorize, primes_up_to)
-from .residues import ENUM_CAP_DEFAULT, compute_k
+from .residues import compute_k
 
 N_POLICIES = ("all_odd_divisors", "largest_odd_divisor", "fixed_n")
 
 CSV_COLUMNS = ("p", "n", "k", "lower_num", "lower_den", "upper_num",
                "upper_den", "normalized", "max_expsum_ratio", "delta_emp",
                "elapsed_ms")
+
+# Paths that name an already open descriptor of this process.
+_FD_PATH = re.compile(r"/(?:dev|proc/self)/fd/(\d+)")
+_STD_PATHS = {"/dev/stdout": 1, "/dev/stderr": 2}
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,6 @@ class SweepConfig:
     fixed_n: int | None = None
     with_expsums: bool = False
     workers: int = 1
-    enum_cap: int = ENUM_CAP_DEFAULT
 
     def __post_init__(self) -> None:
         if self.p_max > SIEVE_CAP:
@@ -161,26 +165,25 @@ def enumerate_cases(config: SweepConfig) -> list[tuple[int, int]]:
             for n in _case_ns(p, factorize(p - 1), config)]
 
 
-def _expsum_table(ctx: PrimeContext, with_expsums: bool,
-                  enum_cap: int) -> PhaseTable | None:
+def _expsum_table(ctx: PrimeContext, with_expsums: bool) -> PhaseTable | None:
     """The prime's phase table; None without expsums or above the cap."""
     if not with_expsums:
         return None
     try:
-        return phase_table(ctx, enum_cap=enum_cap)
+        return phase_table(ctx)
     except ScaleLimit:
         return None
 
 
-def _case_record(ctx: PrimeContext, n: int, table: PhaseTable | None,
-                 enum_cap: int) -> SweepRecord:
+def _case_record(ctx: PrimeContext, n: int,
+                 table: PhaseTable | None) -> SweepRecord:
     """One case of an already built prime; elapsed_ms excludes the context
     and the phase table, which every case of the prime shares.  Without a
     table the expsum fields stay None."""
     p = ctx.p
     start = time.perf_counter()
     try:
-        result = compute_k(ctx, n, enum_cap=enum_cap)
+        result = compute_k(ctx, n)
     except ScaleLimit as exc:
         elapsed = int(round((time.perf_counter() - start) * 1000))
         return SweepRecord(p=p, n=n, k=None, elapsed_ms=elapsed,
@@ -204,12 +207,10 @@ def _case_record(ctx: PrimeContext, n: int, table: PhaseTable | None,
                        elapsed_ms=elapsed)
 
 
-def run_case(p: int, n: int, *, with_expsums: bool = False,
-             enum_cap: int = ENUM_CAP_DEFAULT) -> SweepRecord:
+def run_case(p: int, n: int, *, with_expsums: bool = False) -> SweepRecord:
     """Compute one sweep record; cap overruns become skip records."""
     ctx = build_prime_context(p)
-    return _case_record(ctx, n, _expsum_table(ctx, with_expsums, enum_cap),
-                        enum_cap)
+    return _case_record(ctx, n, _expsum_table(ctx, with_expsums))
 
 
 def _run_prime(p: int, config: SweepConfig) -> list[SweepRecord]:
@@ -217,9 +218,8 @@ def _run_prime(p: int, config: SweepConfig) -> list[SweepRecord]:
     most one phase table."""
     ctx = build_prime_context(p)
     ns = _case_ns(p, ctx.factors, config)
-    table = _expsum_table(ctx, config.with_expsums and bool(ns),
-                          config.enum_cap)
-    return [_case_record(ctx, n, table, config.enum_cap) for n in ns]
+    table = _expsum_table(ctx, config.with_expsums and bool(ns))
+    return [_case_record(ctx, n, table) for n in ns]
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
@@ -311,13 +311,20 @@ def write_records(records: list[SweepRecord], path: str, fmt: str = "csv", *,
 
     A regular file is written to a temporary file beside it, which then
     replaces it in one step: a write that fails or is interrupted leaves
-    any earlier file as it was and no partial file behind.  A device or
-    pipe (/dev/stdout, a FIFO) is written directly.
+    any earlier file as it was and no partial file behind.  A device, a
+    FIFO or a path naming an open descriptor (/dev/stdout, /dev/stderr,
+    /dev/fd/N, /proc/self/fd/N) is written directly, the last through the
+    descriptor itself: it may lead to a regular file, such as the target
+    of a shell redirection, that must not be replaced.
     """
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    where = os.path.abspath(path)
+    named = _FD_PATH.fullmatch(where)
+    fd = int(named[1]) if named else _STD_PATHS.get(where)
+    if fd is not None or (os.path.exists(path) and not os.path.isfile(path)):
+        with open(path if fd is None else os.dup(fd), "w", encoding="utf-8",
+                  newline="") as fh:
             _write_rows(fh, records, fmt, with_timings)
         return
     target = os.path.realpath(path)

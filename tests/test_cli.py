@@ -54,6 +54,13 @@ def test_compute_domain_errors_exit_1():
 def test_compute_scale_cap_exit_3():
     proc = run_cli("compute", "13", "3", env_extra={"POWRES_ENUM_CAP": "2"})
     assert proc.returncode == 3
+    # a cap that is not a positive integer is a usage error naming it
+    for bad in ("abc", "", "0", "-5"):
+        proc = run_cli("compute", "13", "3",
+                       env_extra={"POWRES_ENUM_CAP": bad})
+        assert proc.returncode == 2, bad
+        assert "POWRES_ENUM_CAP" in proc.stderr, bad
+        assert proc.stdout == ""
 
 
 def test_roots_human_and_json():
@@ -189,6 +196,21 @@ def test_sweep_worker_counts_byte_identical(tmp_path):
         assert proc.returncode == 0
         outs.append(open(out, "rb").read())
     assert outs[0] == outs[1]
+
+
+def test_sweep_to_dev_stdout_appends_to_a_redirected_file(tmp_path):
+    log = tmp_path / "log.txt"
+    log.write_text("before\n")
+    with open(log, "a") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "powres", "sweep", "--p-max", "13",
+             "--out", "/dev/stdout"], stdout=fh, stderr=subprocess.PIPE,
+            text=True)
+    assert proc.returncode == 0, proc.stderr
+    text = log.read_text()
+    assert text.startswith("before\np,n,k,")
+    assert "13,3,2,2,1,13,3,1.0,,,\n" in text
+    assert text.endswith("wrote 3 records to /dev/stdout (csv)\n")
 
 
 def test_sweep_reports_skips_without_failing(tmp_path):

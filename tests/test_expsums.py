@@ -44,15 +44,16 @@ def test_expsum_full_group_is_minus_one(ctx13):
 def test_expsum_two_term_value(ctx13):
     # {1, p-1} at a = 1: e(1/13) + e(12/13) = 2 cos(2 pi / 13),
     # frozen from a 40-digit evaluation
-    H2 = _subgroup_of_order(ctx13, 2, 1 << 22)
+    H2 = _subgroup_of_order(ctx13, 2)
     value = subgroup_expsum(H2, 1)
     assert abs(value.real - 1.7709120513064198) < 1e-13
     assert abs(value.imag) < 1e-13
 
 
-def test_expsum_requires_enumeration(ctx13):
+def test_expsum_requires_enumeration(ctx13, monkeypatch):
+    monkeypatch.setenv("POWRES_ENUM_CAP", "1")
     with pytest.raises(NotEnumerated):
-        roots_of_unity_subgroup(ctx13, 3, enum_cap=1)
+        roots_of_unity_subgroup(ctx13, 3)
 
 
 def test_phase_terms_have_unit_modulus(ctx13):
@@ -83,7 +84,7 @@ def test_phase_table_profile_matches_direct_sums():
         table = phase_table(ctx)
         assert len(table.cos) == len(table.sin) == (p - 1) // 2
         for d in all_divisors(p - 1):
-            H = _subgroup_of_order(ctx, d, 1 << 22)
+            H = _subgroup_of_order(ctx, d)
             profile = expsum_profile(table, d)
             reps = [a for a, _ in profile.coset_values]
             assert reps == [pow(ctx.g, i, p) for i in range((p - 1) // d)]
@@ -111,10 +112,13 @@ def test_phase_table_conjugate_cosets_are_exact():
                 assert all(s.imag == 0.0 for s in values), (p, d)
 
 
-def test_phase_table_cap_and_bad_order(ctx13):
-    assert len(phase_table(ctx13, enum_cap=12).cos) == 6
+def test_phase_table_cap_and_bad_order(ctx13, monkeypatch):
+    monkeypatch.setenv("POWRES_ENUM_CAP", "12")
+    assert len(phase_table(ctx13).cos) == 6
+    monkeypatch.setenv("POWRES_ENUM_CAP", "11")
     with pytest.raises(NotEnumerated):
-        phase_table(ctx13, enum_cap=11)
+        phase_table(ctx13)
+    monkeypatch.delenv("POWRES_ENUM_CAP")
     table = phase_table(ctx13)
     for d in (0, 5, 24):
         with pytest.raises(BadN):
@@ -148,7 +152,7 @@ def test_coset_constancy():
         for d in (2,) + tuple(odd_divisors(p - 1)[1:]):
             if (p - 1) % d:
                 continue
-            H = _subgroup_of_order(ctx, d, 1 << 22)
+            H = _subgroup_of_order(ctx, d)
             for _ in range(5):
                 a = rng.randrange(1, p)
                 h = rng.choice(H.elements)
@@ -160,7 +164,7 @@ def test_conjugate_symmetry():
     for p in (13, 97):
         ctx = build_prime_context(p)
         for d in all_divisors(p - 1):
-            H = _subgroup_of_order(ctx, d, 1 << 22)
+            H = _subgroup_of_order(ctx, d)
             for a in range(1, p):
                 s = subgroup_expsum(H, a)
                 s_neg = subgroup_expsum(H, p - a)
@@ -308,6 +312,7 @@ def test_decomposition_full_interval_counts_all_roots():
         assert abs(result.reconstruction - n) < 1e-6
 
 
-def test_decomposition_respects_caps(ctx13):
+def test_decomposition_respects_caps(ctx13, monkeypatch):
+    monkeypatch.setenv("POWRES_ENUM_CAP", "2")
     with pytest.raises(ScaleLimit):
-        orthogonality_decomposition(ctx13, 3, 8, 6, enum_cap=2)
+        orthogonality_decomposition(ctx13, 3, 8, 6)

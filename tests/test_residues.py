@@ -51,9 +51,10 @@ def test_power_residue_subgroup_examples(ctx7, ctx11, ctx13):
     assert set(power_residue_subgroup(ctx11, 5).elements) == {1, 10}
 
 
-def test_enumeration_cap_leaves_elements_unset(ctx13):
+def test_enumeration_cap_leaves_elements_unset(ctx13, monkeypatch):
+    monkeypatch.setenv("POWRES_ENUM_CAP", "2")
     with pytest.raises(NotEnumerated):
-        roots_of_unity_subgroup(ctx13, 3, enum_cap=2)
+        roots_of_unity_subgroup(ctx13, 3)
 
 
 @given(case_strategy)
@@ -107,18 +108,20 @@ def test_principal_root_is_canonical(ctx13):
     assert pow(x0, 3, 13) == 8
 
 
-def test_bsgs_cap_rejects_large_moduli(ctx13):
+def test_bsgs_cap_rejects_large_moduli(ctx13, monkeypatch):
+    monkeypatch.setenv("POWRES_ENUM_CAP", "3")
     with pytest.raises(ScaleLimit):
-        nth_root_solutions(ctx13, 3, 8, enum_cap=3)
+        nth_root_solutions(ctx13, 3, 8)
+    monkeypatch.setenv("POWRES_ENUM_CAP", "2")
     with pytest.raises(NotEnumerated):
-        nth_root_solutions(ctx13, 3, 1, enum_cap=2)
+        nth_root_solutions(ctx13, 3, 1)
 
 
 def test_root_count_invariant_fires_on_a_false_primitive_root(ctx13):
     # 12 has order 2 mod 13, so its powers give 1 root where 3 are due
     fake = PrimeContext(p=13, factors=ctx13.factors, g=12)
     with pytest.raises(InvariantViolation, match="found 1 roots, expected 3"):
-        _root_coset(fake, 3, 1, 1 << 22)
+        _root_coset(fake, 3, 1)
 
 
 def test_root_sets_match_scan_exhaustively_small():
@@ -157,9 +160,10 @@ def test_compute_k_n1_is_half_group(ctx13):
         assert compute_k(build_prime_context(p), 1).k == (p - 1) // 2
 
 
-def test_compute_k_cap(ctx13):
+def test_compute_k_cap(ctx13, monkeypatch):
+    monkeypatch.setenv("POWRES_ENUM_CAP", "3")
     with pytest.raises(ScaleLimit):
-        compute_k(ctx13, 3, enum_cap=3)
+        compute_k(ctx13, 3)
 
 
 def test_brute_force_k_examples(ctx7, ctx13):

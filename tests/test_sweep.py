@@ -107,8 +107,9 @@ def test_run_sweep_orders_and_bounds():
         assert rec.lower <= rec.k < rec.upper_exclusive
 
 
-def test_run_sweep_skips_capped_cases():
-    records = run_sweep(SweepConfig(p_min=13, p_max=13, enum_cap=2))
+def test_run_sweep_skips_capped_cases(monkeypatch):
+    monkeypatch.setenv("POWRES_ENUM_CAP", "2")
+    records = run_sweep(SweepConfig(p_min=13, p_max=13))
     assert len(records) == 1
     rec = records[0]
     assert rec.k is None and rec.skip_reason is not None
@@ -129,6 +130,17 @@ def test_worker_counts_agree_in_memory():
     strip = lambda recs: [dataclasses.replace(r, elapsed_ms=None)
                           for r in recs]
     assert strip(run_sweep(cfg1)) == strip(run_sweep(cfg3))
+
+
+def test_pool_workers_see_the_environment_cap(monkeypatch):
+    monkeypatch.setenv("POWRES_ENUM_CAP", "2")
+    runs = [run_sweep(SweepConfig(p_min=5, p_max=200, workers=workers))
+            for workers in (1, 2)]
+    strip = lambda recs: [dataclasses.replace(r, elapsed_ms=None)
+                          for r in recs]
+    assert strip(runs[0]) == strip(runs[1])
+    assert any(r.k is None for r in runs[0])
+    assert any(r.k is not None for r in runs[0])
 
 
 def test_one_context_and_one_factorisation_per_prime(monkeypatch):
@@ -264,11 +276,11 @@ def test_write_records_lf_endings(tmp_path):
     assert raw.endswith(b"\n")
 
 
-def test_round_trip_both_formats(tmp_path):
+def test_round_trip_both_formats(tmp_path, monkeypatch):
     records = run_sweep(SweepConfig(p_min=5, p_max=100, with_expsums=True))
     # include a skipped row
-    records = records + list(run_sweep(SweepConfig(p_min=13, p_max=13,
-                                                   enum_cap=2)))
+    monkeypatch.setenv("POWRES_ENUM_CAP", "2")
+    records = records + list(run_sweep(SweepConfig(p_min=13, p_max=13)))
     for fmt in ("csv", "jsonl"):
         path = str(tmp_path / f"records.{fmt}")
         write_records(records, path, fmt)

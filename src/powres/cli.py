@@ -1,9 +1,9 @@
 """Command-line surface: one subcommand per operation, human or JSON output.
 
 Exit codes are stable: 0 success, 1 domain error, 2 usage error (including
-empty ranges), 3 scale-cap error.  JSON mode writes the data document to
-stdout and keeps diagnostics on stderr, so pipelines never see mixed
-streams.
+empty ranges and an --out that cannot be written), 3 scale-cap error.  JSON
+mode writes the data document to stdout and keeps diagnostics on stderr, so
+pipelines never see mixed streams.
 """
 
 from __future__ import annotations
@@ -127,12 +127,17 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if not args.out:
+        raise ValueError("--out must name a file, got ''")
     config = SweepConfig(p_min=args.p_min, p_max=args.p_max,
                          n_min=args.n_min, epsilon=args.epsilon,
                          n_policy=args.policy, fixed_n=args.fixed_n,
                          with_expsums=args.with_expsums, workers=args.workers)
     records = run_sweep(config)
-    write_records(records, args.out, args.format)
+    try:
+        write_records(records, args.out, args.format)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror}")
     completed = [r for r in records if r.k is not None]
     skipped = len(records) - len(completed)
     try:

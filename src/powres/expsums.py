@@ -8,9 +8,10 @@ E[j] = e(g**j/p).  Since -1 = g**((p-1)/2), E[j + (p-1)/2] = conj(E[j]), so
 the table keeps only its first half: (p-1)/2 phase evaluations per prime,
 shared by every n, instead of the O(p*|H|) full scan.
 
-Every phase is reduced exactly in integer arithmetic (g**j mod p) before its
-single trigonometric evaluation, and coset sums accumulate through
-math.fsum, so no angle recurrences can drift.
+Every phase is reduced exactly in integer arithmetic before its single
+trigonometric evaluation: g**j mod p is read off modmath.powers, the walk
+that also lists coset representatives and decomposition frequencies.  Coset
+sums accumulate through math.fsum, so no angle recurrences can drift.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import cycle, islice
 from math import cos, fsum, pi, sin
 from operator import indexOf
 
 from .errors import (BadN, BadRadius, InvariantViolation, TrivialSubgroup,
                      ZeroFrequency)
-from .modmath import PrimeContext
+from .modmath import PrimeContext, powers
 from .residues import (SubgroupSpec, _require_enumerable, _root_coset,
                        nth_root_solutions, principal_nth_root)
 
@@ -57,18 +59,15 @@ class PhaseTable:
 
 
 def phase_table(ctx: PrimeContext) -> PhaseTable:
-    """Build the half table of e(g**j/p) in one walk r <- r*g mod p.
+    """Build the half table of e(g**j/p), r = g**j read off modmath.powers.
 
     The table stands for all p - 1 phases, so p - 1 must fit the cap.
     """
     p, g = ctx.p, ctx.g
     _require_enumerable(p - 1, "phase table")
     scale = 2.0 * pi
-    angles = array("d")
-    r = 1
-    for _ in range((p - 1) // 2):
-        angles.append(scale * r / p)
-        r = r * g % p
+    angles = array("d", (scale * r / p
+                         for r in islice(powers(g, p), (p - 1) // 2)))
     return PhaseTable(p=p, g=g, cos=array("d", map(cos, angles)),
                       sin=array("d", map(sin, angles)))
 
@@ -92,14 +91,6 @@ class ExpSumProfile:
     max_magnitude: float
     argmax_a: int
     parseval_residual: float
-
-
-def _powers(g: int, p: int):
-    """g**0, g**1, ... mod p, one modular product per step."""
-    r = 1
-    while True:
-        yield r
-        r = r * g % p
 
 
 def expsum_profile(table: PhaseTable, d: int) -> ExpSumProfile:
@@ -126,12 +117,13 @@ def expsum_profile(table: PhaseTable, d: int) -> ExpSumProfile:
             sums[j] = s.conjugate()
     max_magnitude = max(map(abs, sums))
     total_square = d * fsum(abs(s) ** 2 for s in sums) + float(d * d)
+    coset_values = tuple(zip(powers(g, p), sums))
     return ExpSumProfile(
         p=p,
         subgroup_order=d,
-        coset_values=tuple(zip(_powers(g, p), sums)),
+        coset_values=coset_values,
         max_magnitude=max_magnitude,
-        argmax_a=pow(g, indexOf(map(abs, sums), max_magnitude), p),
+        argmax_a=coset_values[indexOf(map(abs, sums), max_magnitude)][0],
         parseval_residual=abs(total_square - p * d),
     )
 
@@ -218,7 +210,7 @@ class DecompositionResult:
     arithmetic main_term + error_term == exact_count.
     """
 
-    m: int
+    m: int  # reduced mod p
     K: int
     exact_count: int
     main_term: float
@@ -242,16 +234,13 @@ def orthogonality_decomposition(ctx: PrimeContext, n: int, m: int,
     _require_enumerable(p - 1, "decomposition sum")
     x0 = principal_nth_root(ctx, n, m)
     coset_values = expsum_profile(phase_table(ctx), n).coset_values
-    cosets = len(coset_values)
     real_parts = []
     imag_parts = []
-    r = pow(x0, -1, p)
-    for j in range(p - 1):
+    frequencies = islice(powers(ctx.g, p, pow(x0, -1, p)), p - 1)
+    for r, (_, s_val) in zip(frequencies, cycle(coset_values)):
         d_val = interval_expsum(p, r, K).real
-        s_val = coset_values[j % cosets][1]
         real_parts.append(s_val.real * d_val)
         imag_parts.append(s_val.imag * d_val)
-        r = r * ctx.g % p
     error_term = fsum(real_parts) / p
     imag_residue = fsum(imag_parts) / p
     if not abs(imag_residue) < 1e-6:
@@ -259,6 +248,6 @@ def orthogonality_decomposition(ctx: PrimeContext, n: int, m: int,
             f"error sum has imaginary part {imag_residue:.3e}, not ~0")
     main_term = (n / p) * 2.0 * K
     exact = _count_within(p, _root_coset(ctx, n, x0), K)
-    return DecompositionResult(m=m, K=K, exact_count=exact,
+    return DecompositionResult(m=m % p, K=K, exact_count=exact,
                                main_term=main_term, error_term=error_term,
                                reconstruction=main_term + error_term)

@@ -1,5 +1,7 @@
 """Exact 64-bit-range modular arithmetic, primality, factorization, primitive roots.
 
+powers() is the one walk start * base**j mod p over a coset of F_p^*.
+
 Moduli are capped at 2**62: every product of two reduced residues then fits
 in a 124-bit intermediate, which CPython's arbitrary-precision integers handle
 exactly.  Larger moduli are rejected up front instead of silently degrading.
@@ -7,6 +9,7 @@ exactly.  Larger moduli are rejected up front instead of silently degrading.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -58,6 +61,14 @@ def primes_up_to(n: int) -> list[int]:
         if sieve[q]:
             sieve[q * q :: q] = bytearray(len(range(q * q, n + 1, q)))
     return [i for i, flag in enumerate(sieve) if flag]
+
+
+def powers(base: int, p: int, start: int = 1) -> Iterator[int]:
+    """start, start*base, start*base**2, ... mod p: one product per step."""
+    r = start
+    while True:
+        yield r
+        r = r * base % p
 
 
 def _brent_factor(n: int, x0: int, c: int) -> int:

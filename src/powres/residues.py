@@ -11,11 +11,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
 
 from .errors import (BadN, BadResidue, InvariantViolation, NotEnumerated,
                      NotResidue)
-from .modmath import PrimeContext
+from .modmath import PrimeContext, powers
 
 ENUM_CAP_DEFAULT = 1 << 22
 
@@ -51,15 +52,14 @@ def _require_valid_n(p: int, n: int) -> None:
 
 @dataclass(frozen=True)
 class SubgroupSpec:
-    """Cyclic subgroup of F_p^* of order `order`, generated by `generator`.
+    """Cyclic subgroup of F_p^* of order `order`.
 
-    `elements` holds generator**j mod p for j = 0..order-1.  A spec is only
-    built when its order is within the enumeration cap.
+    `elements` holds w**j mod p for j = 0..order-1, w = g**((p-1)/order).
+    A spec is only built when its order is within the enumeration cap.
     """
 
     p: int
     order: int
-    generator: int
     elements: tuple[int, ...]
 
 
@@ -68,12 +68,7 @@ def _subgroup_of_order(ctx: PrimeContext, d: int) -> SubgroupSpec:
     p = ctx.p
     _require_enumerable(d, "subgroup")
     w = pow(ctx.g, (p - 1) // d, p)
-    elems = []
-    h = 1
-    for _ in range(d):
-        elems.append(h)
-        h = h * w % p
-    return SubgroupSpec(p=p, order=d, generator=w, elements=tuple(elems))
+    return SubgroupSpec(p=p, order=d, elements=tuple(islice(powers(w, p), d)))
 
 
 def roots_of_unity_subgroup(ctx: PrimeContext, n: int) -> SubgroupSpec:
@@ -98,7 +93,10 @@ def is_nth_residue(ctx: PrimeContext, n: int, m: int) -> bool:
 
 
 def _bsgs_log(ctx: PrimeContext, target: int) -> int:
-    """Discrete log of target to base ctx.g via baby-step giant-step."""
+    """Discrete log of target to base ctx.g via baby-step giant-step.
+
+    Loops kept inline: via modmath.powers, giant steps ran slower at 2**33+17.
+    """
     p, g = ctx.p, ctx.g
     m = isqrt(p - 2) + 1
     table: dict[int, int] = {}
@@ -139,11 +137,7 @@ def _root_coset(ctx: PrimeContext, n: int, x0: int) -> set[int]:
     p = ctx.p
     _require_enumerable(n, "root coset")
     w = pow(ctx.g, (p - 1) // n, p)
-    roots = set()
-    x = x0
-    for _ in range(n):
-        roots.add(x)
-        x = x * w % p
+    roots = set(islice(powers(w, p, x0), n))
     if len(roots) != n:
         raise InvariantViolation(f"found {len(roots)} roots, expected {n}")
     return roots

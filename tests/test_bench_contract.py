@@ -34,3 +34,18 @@ def test_runner_api_exists():
     fields = {f.name for f in dataclasses.fields(powres.SweepConfig)}
     for workload in workloads.WORKLOADS.values():
         assert set(workload.sweep) <= fields, workload.sweep
+
+
+def test_cli_reads_compute_k_through_its_own_namespace(monkeypatch, capsys):
+    # perfbench/selftest.py tampers with the queries answers by patching
+    # powres.cli.compute_k; the patch must reach cmd_compute.
+    assert "compute_k" in powres.cli.__dict__
+    real = powres.cli.compute_k
+
+    def bumped(ctx, n):
+        result = real(ctx, n)
+        return dataclasses.replace(result, k=result.k + 1)
+
+    monkeypatch.setattr(powres.cli, "compute_k", bumped)
+    assert powres.cli.main(["compute", "13", "3", "--json"]) == 0
+    assert '"k": 3' in capsys.readouterr().out

@@ -9,13 +9,13 @@ from powres import build_prime_context, cli, compute_k, expsum_profile, \
 from powres.cli import main
 
 
-def run_cli(*argv, env_extra=None, timeout=None):
+def run_cli(*argv, env_extra=None, timeout=None, cwd=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "powres", *argv],
                           capture_output=True, text=True, env=env,
-                          timeout=timeout)
+                          timeout=timeout, cwd=cwd)
 
 
 def test_compute_human():
@@ -168,6 +168,11 @@ def test_decompose_matches_library():
     assert abs(doc["main_term"] - result.main_term) < 1e-12
     assert abs(doc["reconstruction"] - result.reconstruction) < 1e-12
     assert doc["residual"] < 1e-6
+    # m is reported reduced mod p, as `roots` reports it
+    for m in ("21", "-5"):
+        other = json.loads(run_cli("decompose", "13", "3", m, "6",
+                                   "--json").stdout)
+        assert other["m"] == 8 and other == doc, m
 
 
 def test_decompose_bad_radius_exit_1():
@@ -211,6 +216,21 @@ def test_sweep_to_dev_stdout_appends_to_a_redirected_file(tmp_path):
     assert text.startswith("before\np,n,k,")
     assert "13,3,2,2,1,13,3,1.0,,,\n" in text
     assert text.endswith("wrote 3 records to /dev/stdout (csv)\n")
+
+
+def test_sweep_unusable_out_is_usage_error_naming_the_path(tmp_path):
+    # Run from a subdirectory: an empty path resolves to the working
+    # directory, so a stray temp file would land beside it, in tmp_path.
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for out in (str(tmp_path / "missing" / "x.csv"), "/dev/fd/9", ""):
+        proc = run_cli("sweep", "--p-max", "13", "--out", out, cwd=cwd,
+                       env_extra={"PYTHONPATH": src})
+        assert proc.returncode == 2, (out, proc.stderr)
+        assert "--out" in proc.stderr and out in proc.stderr
+        assert ".tmp" not in proc.stderr and proc.stdout == ""
+    assert list(tmp_path.rglob("*")) == [cwd]
 
 
 def test_sweep_reports_skips_without_failing(tmp_path):

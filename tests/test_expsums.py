@@ -83,11 +83,20 @@ def test_phase_table_profile_matches_direct_sums():
         ctx = build_prime_context(p)
         table = phase_table(ctx)
         assert len(table.cos) == len(table.sin) == (p - 1) // 2
+        for j in range((p - 1) // 2):
+            angle = 2.0 * math.pi * pow(ctx.g, j, p) / p
+            assert table.cos[j] == math.cos(angle), (p, j)
+            assert table.sin[j] == math.sin(angle), (p, j)
         for d in all_divisors(p - 1):
             H = _subgroup_of_order(ctx, d)
+            assert H.elements == tuple(pow(ctx.g, j * (p - 1) // d, p)
+                                       for j in range(d))
             profile = expsum_profile(table, d)
             reps = [a for a, _ in profile.coset_values]
             assert reps == [pow(ctx.g, i, p) for i in range((p - 1) // d)]
+            first = [abs(s) for _, s in profile.coset_values].index(
+                profile.max_magnitude)
+            assert profile.argmax_a == pow(ctx.g, first, p)
             for a, s in profile.coset_values:
                 assert abs(s - subgroup_expsum(H, a)) < 1e-10 * d, (p, d, a)
 

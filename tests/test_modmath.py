@@ -1,9 +1,11 @@
 import random
+from itertools import islice
 
 import pytest
 
 from powres import (MODULUS_CAP, NotPrime, ScaleLimit, TooSmall,
                     build_prime_context, factorize, is_prime, primes_up_to)
+from powres.modmath import powers
 
 
 def multiplicative_order(a, p):
@@ -80,6 +82,10 @@ def test_build_prime_context_examples():
     assert (ctx.p, ctx.factors, ctx.g) == (7, ((2, 1), (3, 1)), 3)
     ctx = build_prime_context(13)
     assert (ctx.p, ctx.factors, ctx.g) == (13, ((2, 2), (3, 1)), 2)
+    # the walk of modmath.powers past one full period, against pow
+    for base, start in ((ctx.g, 1), (ctx.g, 7), (1, 5), (12, 3)):
+        walk = list(islice(powers(base, 13, start), 30))
+        assert walk == [start * pow(base, j, 13) % 13 for j in range(30)]
 
 
 def test_build_prime_context_rejections():

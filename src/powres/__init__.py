@@ -9,9 +9,8 @@ slope of ln k against ln p.
 """
 
 from .errors import (BadN, BadRadius, BadResidue, EmptyRange,
-                     InsufficientData, InvariantViolation, NotEnumerated,
-                     NotPrime, NotResidue, PowresError, ScaleLimit, TooSmall,
-                     TrivialSubgroup, ZeroFrequency)
+                     InvariantViolation, NotEnumerated, NotPrime, NotResidue,
+                     PowresError, ScaleLimit, TooSmall, ZeroFrequency)
 from .expsums import (DecompositionResult, ExpSumProfile, PhaseTable,
                       count_solutions_in_interval, empirical_delta,
                       expsum_profile, harmonic_bound_check, interval_bound,

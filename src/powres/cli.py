@@ -1,7 +1,8 @@
 """Command-line surface: one subcommand per operation, human or JSON output.
 
 Exit codes are stable: 0 success, 1 domain error, 2 usage error (including
-empty ranges and an --out that cannot be written), 3 scale-cap error.  JSON
+empty ranges and an --out that cannot be written), 3 scale-cap error; each
+package error type names its own in exit_code.  JSON
 mode writes the data document to stdout and keeps diagnostics on stderr, so
 pipelines never see mixed streams.
 """
@@ -12,8 +13,7 @@ import argparse
 import json
 import sys
 
-from .errors import (EmptyRange, InsufficientData, PowresError, ScaleLimit,
-                     TrivialSubgroup)
+from .errors import PowresError, ScaleLimit
 from .expsums import (empirical_delta, expsum_profile,
                       orthogonality_decomposition, phase_table)
 from .modmath import build_prime_context
@@ -75,10 +75,7 @@ def cmd_expsum(args) -> int:
     ctx = build_prime_context(args.p)
     _require_valid_n(ctx.p, args.n)
     profile = expsum_profile(phase_table(ctx), args.n)
-    try:
-        delta = empirical_delta(profile)
-    except TrivialSubgroup:
-        delta = None
+    delta = empirical_delta(profile)
     ratio = profile.max_magnitude / profile.subgroup_order
     payload = {
         "p": profile.p, "n": args.n, "subgroup_order": profile.subgroup_order,
@@ -140,11 +137,8 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"cannot write --out {args.out}: {exc.strerror}")
     completed = [r for r in records if r.k is not None]
     skipped = len(records) - len(completed)
-    try:
-        fit = fit_exponent(records)
-        slope, r2 = fit.slope, fit.r_squared
-    except InsufficientData:
-        slope = r2 = None
+    fit = fit_exponent(records)
+    slope, r2 = (None, None) if fit is None else (fit.slope, fit.r_squared)
     norms = [r.normalized for r in completed if r.normalized is not None]
     payload = {
         "cases": len(records), "completed": len(completed),
@@ -260,15 +254,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EmptyRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ScaleLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except PowresError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,14 @@
-"""Domain exceptions shared across the package."""
+"""Domain exceptions shared across the package.
+
+Each type carries the CLI exit status it maps to in exit_code: 1 for a
+domain error, 2 for a usage error, 3 for a size cap.
+"""
 
 
 class PowresError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 1
 
 
 class NotPrime(PowresError):
@@ -28,6 +34,8 @@ class NotResidue(PowresError):
 class ScaleLimit(PowresError):
     """The request exceeds a size cap (enumeration, sieve, modulus)."""
 
+    exit_code = 3
+
 
 class NotEnumerated(ScaleLimit):
     """A container sized by the input would exceed the enumeration cap."""
@@ -41,16 +49,10 @@ class ZeroFrequency(PowresError):
     """r = 0 mod p, where the envelope 1/(2*||r/p||) is undefined."""
 
 
-class TrivialSubgroup(PowresError):
-    """|H| = 1: the sum ratio is pinned at 1 and the exponent is 0."""
-
-
 class EmptyRange(PowresError):
     """The requested prime range contains no usable prime."""
 
-
-class InsufficientData(PowresError):
-    """Fewer than two usable points (or zero variance) for a regression."""
+    exit_code = 2
 
 
 class InvariantViolation(PowresError):

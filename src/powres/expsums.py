@@ -23,8 +23,7 @@ from itertools import cycle, islice
 from math import cos, fsum, pi, sin
 from operator import indexOf
 
-from .errors import (BadN, BadRadius, InvariantViolation, TrivialSubgroup,
-                     ZeroFrequency)
+from .errors import BadN, BadRadius, InvariantViolation, ZeroFrequency
 from .modmath import PrimeContext, powers
 from .residues import (SubgroupSpec, _require_enumerable, _root_coset,
                        nth_root_solutions, principal_nth_root)
@@ -128,34 +127,35 @@ def expsum_profile(table: PhaseTable, d: int) -> ExpSumProfile:
     )
 
 
-def empirical_delta(profile: ExpSumProfile) -> float:
+def empirical_delta(profile: ExpSumProfile) -> float | None:
     """Exponent -ln(max|S|/|H|) / (3 ln p) read off a measured profile.
 
     Inverts the shape of the subgroup-sum bound on observed data; a
     diagnostic to report, never an assertion against the non-effective
-    constant in the bound itself.
+    constant in the bound itself.  None when |H| = 1, which pins
+    max|S|/|H| at 1 and leaves no exponent to read.
     """
     if profile.subgroup_order < 2:
-        raise TrivialSubgroup("|H| = 1 pins max|S|/|H| at 1")
+        return None
     ratio = profile.max_magnitude / profile.subgroup_order
     return -math.log(ratio) / (3.0 * math.log(profile.p))
 
 
-def interval_expsum(p: int, r: int, K: int) -> complex:
+def interval_expsum(p: int, r: int, K: int) -> float:
     """D(r, K) = sum over 1 <= |x| <= K of e(-r*x/p).
 
     Closed form: the Dirichlet kernel sin((2K+1)*pi*r/p) / sin(pi*r/p)
     minus the x = 0 term, or 2K when r == 0 mod p.  The +-x pairing makes
-    the sum real, so the imaginary part is identically zero.  The kernel
+    the sum real, so it is returned as a float.  The kernel
     argument is reduced mod 2p in integer arithmetic first, keeping the
     value accurate near the zeros of the numerator.
     """
     _check_radius(p, K)
     r %= p
     if r == 0:
-        return complex(2 * K, 0.0)
+        return float(2 * K)
     t = (2 * K + 1) * r % (2 * p)
-    return complex(sin(pi * t / p) / sin(pi * r / p) - 1.0, 0.0)
+    return sin(pi * t / p) / sin(pi * r / p) - 1.0
 
 
 def interval_bound(p: int, r: int, K: int) -> float:
@@ -238,7 +238,7 @@ def orthogonality_decomposition(ctx: PrimeContext, n: int, m: int,
     imag_parts = []
     frequencies = islice(powers(ctx.g, p, pow(x0, -1, p)), p - 1)
     for r, (_, s_val) in zip(frequencies, cycle(coset_values)):
-        d_val = interval_expsum(p, r, K).real
+        d_val = interval_expsum(p, r, K)
         real_parts.append(s_val.real * d_val)
         imag_parts.append(s_val.imag * d_val)
     error_term = fsum(real_parts) / p

@@ -25,8 +25,7 @@ from fractions import Fraction
 from functools import partial
 from statistics import StatisticsError, linear_regression
 
-from .errors import (EmptyRange, InsufficientData, InvariantViolation,
-                     ScaleLimit, TrivialSubgroup)
+from .errors import EmptyRange, InvariantViolation, ScaleLimit
 from .expsums import PhaseTable, empirical_delta, expsum_profile, phase_table
 from .modmath import (SIEVE_CAP, PrimeContext, build_prime_context,
                       factorize, primes_up_to)
@@ -192,10 +191,7 @@ def _case_record(ctx: PrimeContext, n: int,
     if table is not None:
         profile = expsum_profile(table, n)
         max_ratio = profile.max_magnitude / n
-        try:
-            delta = empirical_delta(profile)
-        except TrivialSubgroup:
-            pass  # |H| = 1: delta stays None
+        delta = empirical_delta(profile)
     if n >= 3 and not result.sandwich_holds():
         raise InvariantViolation(f"bound violation at (p={p}, n={n}): "
                                  f"k = {result.k}")
@@ -239,23 +235,22 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     return [rec for records in per_prime for rec in records]
 
 
-def fit_exponent(records: list[SweepRecord]) -> FitResult:
+def fit_exponent(records: list[SweepRecord]) -> FitResult | None:
     """OLS of log k on log p over the completed records.
 
-    The slope is a growth exponent only when the cases hold |R| = (p - 1)/n
-    (or log n / log p) fixed.  Under the largest-odd-divisor policy |R| is
-    the 2-power part of p - 1, so the slope tracks that valuation instead.
+    None when the line is undefined: fewer than two completed records, or
+    all of them at one p.  The slope is a growth exponent only when the
+    cases hold |R| = (p - 1)/n (or log n / log p) fixed.  Under the
+    largest-odd-divisor policy |R| is the 2-power part of p - 1, so the
+    slope tracks that valuation instead.
     """
-    points = [(rec.log_p, rec.log_k) for rec in records
-              if rec.k is not None and rec.k >= 1]
-    if len(points) < 2:
-        raise InsufficientData(f"need >= 2 records, have {len(points)}")
+    points = [(rec.log_p, rec.log_k) for rec in records if rec.k is not None]
     xs = [x for x, _ in points]
     ys = [y for _, y in points]
     try:
         slope, intercept = linear_regression(xs, ys)
-    except StatisticsError as exc:
-        raise InsufficientData(str(exc)) from exc
+    except StatisticsError:
+        return None
     mean_y = math.fsum(ys) / len(ys)
     ss_tot = math.fsum((y - mean_y) ** 2 for y in ys)
     ss_res = math.fsum((y - (slope * x + intercept)) ** 2
@@ -315,10 +310,13 @@ def write_records(records: list[SweepRecord], path: str, fmt: str = "csv", *,
     FIFO or a path naming an open descriptor (/dev/stdout, /dev/stderr,
     /dev/fd/N, /proc/self/fd/N) is written directly, the last through the
     descriptor itself: it may lead to a regular file, such as the target
-    of a shell redirection, that must not be replaced.
+    of a shell redirection, that must not be replaced.  An empty path is
+    refused with ValueError before anything is opened.
     """
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
+    if not path:
+        raise ValueError(f"path must name a file, got {path!r}")
     where = os.path.abspath(path)
     named = _FD_PATH.fullmatch(where)
     fd = int(named[1]) if named else _STD_PATHS.get(where)

@@ -4,8 +4,8 @@ import os
 import subprocess
 import sys
 
-from powres import build_prime_context, cli, compute_k, expsum_profile, \
-    orthogonality_decomposition, phase_table, sweep
+from powres import build_prime_context, cli, compute_k, errors, \
+    expsum_profile, orthogonality_decomposition, phase_table, sweep
 from powres.cli import main
 
 
@@ -333,6 +333,23 @@ def test_verify_empty_range_exit_2():
 def test_unknown_command_exit_2():
     proc = run_cli("frobnicate")
     assert proc.returncode == 2
+
+
+def test_exit_code_of_each_error_type(monkeypatch, capsys):
+    cases = [(errors.BadN, 1), (errors.InvariantViolation, 1),
+             (errors.EmptyRange, 2), (errors.ScaleLimit, 3),
+             (errors.NotEnumerated, 3), (ValueError, 2), (OSError, 1)]
+    for exc_type, code in cases:
+        def fail(args, exc_type=exc_type):
+            raise exc_type(f"raised {exc_type.__name__}")
+        monkeypatch.setattr(cli, "cmd_compute", fail)
+        assert main(["compute", "13", "3"]) == code, exc_type
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: raised {exc_type.__name__}\n"
+    types = [t for t in vars(errors).values()
+             if isinstance(t, type) and issubclass(t, errors.PowresError)]
+    assert errors.NotEnumerated in types
+    assert all(t.exit_code in (1, 2, 3) for t in types)
 
 
 def test_json_mode_keeps_stdout_clean_on_error():

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from powres import (SIEVE_CAP, EmptyRange, FitResult, InsufficientData,
-                    ScaleLimit, SweepConfig, SweepRecord, enumerate_cases,
-                    fit_exponent, modmath, odd_divisors, primes_up_to,
-                    read_records, run_case, run_sweep, sweep, write_records)
+from powres import (SIEVE_CAP, EmptyRange, FitResult, ScaleLimit,
+                    SweepConfig, SweepRecord, enumerate_cases, fit_exponent,
+                    modmath, odd_divisors, primes_up_to, read_records,
+                    run_case, run_sweep, sweep, write_records)
 from powres.sweep import CSV_COLUMNS
 
 
@@ -243,13 +243,10 @@ def test_fit_exponent_matches_polyfit_oracle():
 
 
 def test_fit_exponent_insufficient_data():
-    with pytest.raises(InsufficientData):
-        fit_exponent([make_record(11, 3)])
-    with pytest.raises(InsufficientData):
-        fit_exponent([make_record(11, 3), make_record(11, 4)])
+    assert fit_exponent([make_record(11, 3)]) is None
+    assert fit_exponent([make_record(11, 3), make_record(11, 4)]) is None
     skipped = SweepRecord(p=13, n=3, k=None, skip_reason="cap")
-    with pytest.raises(InsufficientData):
-        fit_exponent([skipped, make_record(11, 3)])
+    assert fit_exponent([skipped, make_record(11, 3)]) is None
 
 
 def test_fit_result_shape():
@@ -304,6 +301,17 @@ def test_timings_round_trip_when_requested(tmp_path):
 def test_write_records_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         write_records([], str(tmp_path / "x"), "xml")
+
+
+def test_write_records_refuses_an_empty_path(tmp_path, monkeypatch):
+    # An empty path would resolve to the working directory; its temp file
+    # would land beside it, in tmp_path.
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    with pytest.raises(ValueError, match="''"):
+        write_records([run_case(13, 3)], "")
+    assert [f.name for f in tmp_path.iterdir()] == ["sub"]
+    assert list((tmp_path / "sub").iterdir()) == []
 
 
 def test_identical_configs_identical_bytes(tmp_path):

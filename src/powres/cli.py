@@ -19,7 +19,8 @@ from .expsums import (empirical_delta, expsum_profile,
 from .modmath import build_prime_context
 from .residues import (_require_valid_n, _root_coset, compute_k,
                        principal_nth_root)
-from .sweep import SweepConfig, fit_exponent, run_sweep, write_records
+from .sweep import (FORMATS, N_POLICIES, SweepConfig, fit_exponent,
+                    run_sweep, write_records)
 
 
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
@@ -33,10 +34,7 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
 def cmd_compute(args) -> int:
     ctx = build_prime_context(args.p)
     result = compute_k(ctx, args.n)
-    if args.n == 1:
-        sandwich = "skipped"
-    else:
-        sandwich = "pass" if result.sandwich_holds() else "fail"
+    sandwich = "skipped" if args.n == 1 else "pass"
     payload = {
         "p": result.p, "n": result.n, "k": result.k,
         "lower_num": result.lower.numerator,
@@ -76,17 +74,16 @@ def cmd_expsum(args) -> int:
     _require_valid_n(ctx.p, args.n)
     profile = expsum_profile(phase_table(ctx), args.n)
     delta = empirical_delta(profile)
-    ratio = profile.max_magnitude / profile.subgroup_order
     payload = {
         "p": profile.p, "n": args.n, "subgroup_order": profile.subgroup_order,
-        "max_magnitude": profile.max_magnitude, "max_ratio": ratio,
+        "max_magnitude": profile.max_magnitude, "max_ratio": profile.max_ratio,
         "argmax_a": profile.argmax_a, "delta_emp": delta,
         "parseval_residual": profile.parseval_residual,
     }
     lines = [
         f"max |S(a)| over a != 0: {profile.max_magnitude:.12g} "
         f"(at a = {profile.argmax_a})",
-        f"max |S| / |H| = {ratio:.12g}",
+        f"max |S| / |H| = {profile.max_ratio:.12g}",
         f"delta_emp = {'n/a' if delta is None else format(delta, '.12g')}",
         f"parseval residual = {profile.parseval_residual:.6g}",
     ]
@@ -175,7 +172,7 @@ def cmd_verify(args) -> int:
         if r.k is None:
             raise ScaleLimit(f"case p={r.p} n={r.n} was not checked: "
                              f"{r.skip_reason}")
-    # run_sweep raises InvariantViolation (exit 1) at any sandwich failure.
+    # A k outside the sandwich fails in its KResult: InvariantViolation, exit 1.
     payload = {"p_max": args.p_max, "cases": len(records), "ok": True,
                "violations": []}
     _emit(args, payload, [f"all {len(records)} cases pass"])
@@ -229,14 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--p-max", type=int, required=True)
     p_sweep.add_argument("--n-min", type=int, default=3)
     p_sweep.add_argument("--epsilon", type=float, default=0.0)
-    p_sweep.add_argument("--policy", choices=("all_odd_divisors",
-                                              "largest_odd_divisor",
-                                              "fixed_n"),
+    p_sweep.add_argument("--policy", choices=N_POLICIES,
                          default="all_odd_divisors")
     p_sweep.add_argument("--fixed-n", type=int, default=None)
     p_sweep.add_argument("--with-expsums", action="store_true")
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    p_sweep.add_argument("--format", choices=FORMATS, default="csv")
     p_sweep.add_argument("--workers", type=int, default=1)
     add_json(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)

@@ -81,7 +81,8 @@ class ExpSumProfile:
     it; for odd |H| the cosets of a and -a hold exact conjugates, so it is
     the lower of the pair.  parseval_residual is the absolute defect
     |sum_{a=0}^{p-1} |S(a)|^2 - p*|H||, where the a = 0 term |H|^2 is
-    included even though the maximum excludes it.
+    included even though the maximum excludes it.  max_ratio is
+    max|S|/|H|, the quantity the covering bounds are stated in.
     """
 
     p: int
@@ -90,6 +91,10 @@ class ExpSumProfile:
     max_magnitude: float
     argmax_a: int
     parseval_residual: float
+
+    @property
+    def max_ratio(self) -> float:
+        return self.max_magnitude / self.subgroup_order
 
 
 def expsum_profile(table: PhaseTable, d: int) -> ExpSumProfile:
@@ -137,8 +142,15 @@ def empirical_delta(profile: ExpSumProfile) -> float | None:
     """
     if profile.subgroup_order < 2:
         return None
-    ratio = profile.max_magnitude / profile.subgroup_order
-    return -math.log(ratio) / (3.0 * math.log(profile.p))
+    return -math.log(profile.max_ratio) / (3.0 * math.log(profile.p))
+
+
+def _dirichlet(p: int, r: int, K: int) -> float:
+    """D(r, K) for an r already reduced mod p and a K already checked."""
+    if r == 0:
+        return float(2 * K)
+    t = (2 * K + 1) * r % (2 * p)
+    return sin(pi * t / p) / sin(pi * r / p) - 1.0
 
 
 def interval_expsum(p: int, r: int, K: int) -> float:
@@ -148,14 +160,11 @@ def interval_expsum(p: int, r: int, K: int) -> float:
     minus the x = 0 term, or 2K when r == 0 mod p.  The +-x pairing makes
     the sum real, so it is returned as a float.  The kernel
     argument is reduced mod 2p in integer arithmetic first, keeping the
-    value accurate near the zeros of the numerator.
+    value accurate near the zeros of the numerator.  Each call checks K;
+    orthogonality_decomposition checks it once for all p - 1 frequencies.
     """
     _check_radius(p, K)
-    r %= p
-    if r == 0:
-        return float(2 * K)
-    t = (2 * K + 1) * r % (2 * p)
-    return sin(pi * t / p) / sin(pi * r / p) - 1.0
+    return _dirichlet(p, r % p, K)
 
 
 def interval_bound(p: int, r: int, K: int) -> float:
@@ -238,7 +247,7 @@ def orthogonality_decomposition(ctx: PrimeContext, n: int, m: int,
     imag_parts = []
     frequencies = islice(powers(ctx.g, p, pow(x0, -1, p)), p - 1)
     for r, (_, s_val) in zip(frequencies, cycle(coset_values)):
-        d_val = interval_expsum(p, r, K)
+        d_val = _dirichlet(p, r, K)
         real_parts.append(s_val.real * d_val)
         imag_parts.append(s_val.imag * d_val)
     error_term = fsum(real_parts) / p

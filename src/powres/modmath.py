@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, isqrt
 
 from .errors import InvariantViolation, NotPrime, ScaleLimit, TooSmall
@@ -60,7 +61,7 @@ def primes_up_to(n: int) -> list[int]:
     for q in range(2, isqrt(n) + 1):
         if sieve[q]:
             sieve[q * q :: q] = bytearray(len(range(q * q, n + 1, q)))
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(compress(range(n + 1), sieve))
 
 
 def powers(base: int, p: int, start: int = 1) -> Iterator[int]:

@@ -153,8 +153,10 @@ class KResult:
     """k(p, n) together with the elementary sandwich bounds.
 
     lower = (p-1)/(2n) and upper_exclusive = (1/2 - 1/(2n)) * p, both exact
-    rationals.  The sandwich is meaningful for n >= 3; at n = 1 the upper
-    bound degenerates to 0 and is not checked.
+    rationals.  For n >= 3 the sandwich lower <= k < upper_exclusive is a
+    theorem, so construction (dataclasses.replace too) refuses a k outside
+    it with InvariantViolation; at n = 1 the upper bound degenerates to 0
+    and is not checked.
     """
 
     p: int
@@ -163,8 +165,10 @@ class KResult:
     lower: Fraction
     upper_exclusive: Fraction
 
-    def sandwich_holds(self) -> bool:
-        return self.lower <= self.k and self.k < self.upper_exclusive
+    def __post_init__(self) -> None:
+        if self.n >= 3 and not self.lower <= self.k < self.upper_exclusive:
+            raise InvariantViolation(
+                f"bound violation at (p={self.p}, n={self.n}): k = {self.k}")
 
 
 def chowla_london_bounds(p: int, n: int) -> tuple[Fraction, Fraction]:
@@ -181,10 +185,11 @@ def compute_k(ctx: PrimeContext, n: int) -> KResult:
     such value is an n-th power residue, so the scan stops at the exact
     covering index: the first x at which the set holds all (p - 1)/n
     residues.  The set never outgrows the residue subgroup, whose order
-    must fit the enumeration cap.
+    must fit the enumeration cap.  chowla_london_bounds validates n; the
+    KResult refuses a k outside the sandwich.
     """
-    _require_valid_n(ctx.p, n)
     p = ctx.p
+    lower, upper = chowla_london_bounds(p, n)
     size = (p - 1) // n
     _require_enumerable(size, "residue subgroup")
     covered: set[int] = set()
@@ -194,7 +199,6 @@ def compute_k(ctx: PrimeContext, n: int) -> KResult:
         r = pow(x, n, p)
         covered.add(r)
         covered.add(p - r)
-    lower, upper = chowla_london_bounds(p, n)
     return KResult(p=p, n=n, k=x, lower=lower, upper_exclusive=upper)
 
 

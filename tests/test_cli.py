@@ -41,6 +41,15 @@ def test_compute_n1_sandwich_skipped():
     assert doc["k"] == 6 and doc["sandwich"] == "skipped"
 
 
+def test_compute_sandwich_failure_exits_1(monkeypatch, capsys):
+    real = cli.compute_k
+    monkeypatch.setattr(cli, "compute_k", lambda ctx, n:
+                        dataclasses.replace(real(ctx, n), k=0))
+    assert main(["compute", "13", "3", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "bound violation" in err
+
+
 def test_compute_domain_errors_exit_1():
     proc = run_cli("compute", "13", "6")
     assert proc.returncode == 1

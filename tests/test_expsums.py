@@ -199,6 +199,7 @@ def test_empirical_delta_formula(ctx13):
     assert delta > 0
     expected = -math.log(profile.max_magnitude / 3) / (3 * math.log(13))
     assert abs(delta - expected) < 1e-15
+    assert profile.max_ratio == profile.max_magnitude / 3
     assert empirical_delta(expsum_profile(
         phase_table(build_prime_context(7)), 1)) is None
 

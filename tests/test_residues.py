@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powres import (BadN, BadResidue, InvariantViolation, NotEnumerated,
-                    NotResidue, PrimeContext, ScaleLimit, brute_force_k,
+from powres import (BadN, BadResidue, InvariantViolation, KResult,
+                    NotEnumerated, NotResidue, PrimeContext, ScaleLimit,
+                    brute_force_k,
                     build_prime_context, chowla_london_bounds, compute_k,
                     is_nth_residue, nth_root_solutions, odd_divisors,
                     power_residue_subgroup, primes_up_to, principal_nth_root,
@@ -204,6 +205,21 @@ def test_sandwich_holds_for_all_small_cases():
             assert 1 <= result.k <= (p - 1) // 2
             if n >= 3:
                 assert result.lower <= result.k < result.upper_exclusive
+
+
+def test_kresult_refuses_a_k_outside_the_sandwich():
+    # (p, n) = (13, 3): 2 <= k < 13/3
+    def build(k, n=3, upper=Fraction(13, 3)):
+        return KResult(p=13, n=n, k=k, lower=Fraction(2),
+                       upper_exclusive=upper)
+
+    for k in (1, 5):
+        with pytest.raises(InvariantViolation, match="bound violation"):
+            build(k)
+    for k in (2, 3, 4):
+        assert build(k).k == k
+    # n = 1: the upper bound degenerates to 0 and is not checked
+    assert build(6, n=1, upper=Fraction(0)).k == 6
 
 
 @given(case_strategy)

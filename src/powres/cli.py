@@ -58,10 +58,11 @@ def cmd_roots(args) -> int:
     x0 = principal_nth_root(ctx, args.n, args.m)
     roots = sorted(_root_coset(ctx, args.n, x0))
     h_gen = pow(ctx.g, (ctx.p - 1) // args.n, ctx.p)
-    payload = {"p": ctx.p, "n": args.n, "m": args.m % ctx.p, "roots": roots,
+    m = args.m % ctx.p
+    payload = {"p": ctx.p, "n": args.n, "m": m, "roots": roots,
                "x0": x0, "g": ctx.g, "h_generator": h_gen}
     lines = [
-        f"solutions of x^{args.n} = {args.m} (mod {ctx.p}): "
+        f"solutions of x^{args.n} = {m} (mod {ctx.p}): "
         + "{" + ", ".join(map(str, roots)) + "}",
         f"x0 = {x0}, g = {ctx.g}, subgroup generator = {h_gen}",
     ]

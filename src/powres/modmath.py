@@ -18,8 +18,11 @@ from .errors import InvariantViolation, NotPrime, ScaleLimit, TooSmall
 
 MODULUS_CAP = 1 << 62
 
-# Largest sieve bound for sweeps: primes_up_to(SIEVE_CAP) holds one byte per
-# integer (256 MiB) plus a list of about 1.5 * 10**7 primes (about 0.5 GB).
+# Largest p_max of a sweep.  Its window [p_min, p_max] is sieved alone, with
+# one byte per integer of the window plus the list of its primes; the base
+# primes up to isqrt(SIEVE_CAP) = 2**14 are negligible.  The widest window,
+# [5, 2**28], takes 256 MiB of sieve plus about 0.6 GB for the list of its
+# 1.5 * 10**7 primes.
 SIEVE_CAP = 1 << 28
 
 # Witness set deterministic for every n < 3.3 * 10**24 (covers the full
@@ -62,6 +65,22 @@ def primes_up_to(n: int) -> list[int]:
         if sieve[q]:
             sieve[q * q :: q] = bytearray(len(range(q * q, n + 1, q)))
     return list(compress(range(n + 1), sieve))
+
+
+def primes_between(lo: int, hi: int) -> list[int]:
+    """All primes in [lo, hi], by a byte sieve of that window alone.
+
+    The window is crossed off by the primes up to isqrt(hi), so its memory
+    follows hi - lo, not hi.
+    """
+    lo = max(lo, 2)
+    if hi < lo:
+        return []
+    sieve = bytearray([1]) * (hi - lo + 1)
+    for q in primes_up_to(isqrt(hi)):
+        start = max(q * q, -(-lo // q) * q)
+        sieve[start - lo :: q] = bytes(len(range(start, hi + 1, q)))
+    return list(compress(range(lo, hi + 1), sieve))
 
 
 def powers(base: int, p: int, start: int = 1) -> Iterator[int]:

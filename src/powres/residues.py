@@ -11,12 +11,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from math import isqrt
 
 from .errors import (BadN, BadResidue, InvariantViolation, NotEnumerated,
                      NotResidue)
-from .modmath import PrimeContext, powers
+from .modmath import PrimeContext, powers, primes_up_to
 
 ENUM_CAP_DEFAULT = 1 << 22
 
@@ -177,28 +177,87 @@ def chowla_london_bounds(p: int, n: int) -> tuple[Fraction, Fraction]:
     return Fraction(p - 1, 2 * n), Fraction((n - 1) * p, 2 * n)
 
 
+# Least prime factor of each x below its length, 0 at primes (and at 0 and 1).
+# Shared by every compute_k of the process, it only grows, and no result
+# depends on it: (x/q)**n * q**n is x**n for any factor q of x.
+_LEAST_FACTOR: list[int] = [0, 0]
+
+
+def _least_factors(size: int) -> list[int]:
+    """The shared least-factor table, grown by doubling to cover x < size.
+
+    New entries are filled by slice assignment over the primes up to the
+    new square root in descending order, so the least prime writes last.
+    """
+    table = _LEAST_FACTOR
+    old = new = len(table)
+    if old >= size:
+        return table
+    while new < size:
+        new *= 2
+    table.extend(repeat(0, new - old))
+    for q in reversed(primes_up_to(isqrt(new - 1))):
+        start = max(q * q, -(-old // q) * q)
+        table[start:new:q] = [q] * len(range(start, new, q))
+    return table
+
+
+class _SparseMarks(dict):
+    """Marks keyed by residue; an unmarked residue reads 0, as in a bytearray."""
+
+    def __missing__(self, key: int) -> int:
+        return 0
+
+
 def compute_k(ctx: PrimeContext, n: int) -> KResult:
     """Least k whose signed n-th powers cover every n-th power residue.
 
-    Iterates x = 1, 2, ...; each step takes one modular exponentiation
-    r = x**n and adds both r and p - r = (-x)**n (n is odd) to a set.  Every
-    such value is an n-th power residue, so the scan stops at the exact
-    covering index: the first x at which the set holds all (p - 1)/n
-    residues.  The set never outgrows the residue subgroup, whose order
-    must fit the enumeration cap.  chowla_london_bounds validates n; the
+    Scans x = 1, 2, ... and marks the folded residue min(r, p - r) of
+    r = x**n: n is odd, so p - r = (-x)**n, and the n-th power residues
+    pair up into |R|/2 folded values, |R| = (p - 1)/n.  The scan stops at
+    the exact covering index, the first x at which all |R|/2 are marked.
+    x -> x**n is multiplicative, so below x = 2|R| a composite x with least
+    prime factor q takes r = (x/q)**n * q**n mod p from the stored powers
+    and only a prime x takes a modular exponentiation; from 2|R| on every x
+    takes one.  The shared least-factor table is grown by doubling as the
+    scan reaches its end.  Memory is O(|R|), with |R| within the
+    enumeration cap: at most 2|R| stored powers, a table of at most 4|R|
+    entries (for the largest |R| scanned in the process), and marks in a
+    bytearray of (p + 1)/2 <= 16|R| + 1 bytes when n <= 32, in a dict of at
+    most |R|/2 keys otherwise.  chowla_london_bounds validates n; the
     KResult refuses a k outside the sandwich.
     """
     p = ctx.p
     lower, upper = chowla_london_bounds(p, n)
     size = (p - 1) // n
     _require_enumerable(size, "residue subgroup")
-    covered: set[int] = set()
+    stop = 2 * size
+    h = p // 2
+    marks = bytearray(h + 1) if n <= 32 else _SparseMarks()
+    unmarked = size // 2
+    stored = [0]
     x = 0
-    while len(covered) < size:
+    while unmarked and x < stop - 1:
+        least = _least_factors(x + 2)
+        for x in range(x + 1, min(len(least), stop)):
+            q = least[x]
+            r = stored[x // q] * stored[q] % p if q else pow(x, n, p)
+            stored.append(r)
+            if r > h:
+                r = p - r
+            if not marks[r]:
+                marks[r] = 1
+                unmarked -= 1
+                if not unmarked:
+                    break
+    while unmarked:
         x += 1
         r = pow(x, n, p)
-        covered.add(r)
-        covered.add(p - r)
+        if r > h:
+            r = p - r
+        if not marks[r]:
+            marks[r] = 1
+            unmarked -= 1
     return KResult(p=p, n=n, k=x, lower=lower, upper_exclusive=upper)
 
 

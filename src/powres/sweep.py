@@ -28,7 +28,7 @@ from statistics import StatisticsError, linear_regression
 from .errors import EmptyRange, InvariantViolation, ScaleLimit
 from .expsums import PhaseTable, empirical_delta, expsum_profile, phase_table
 from .modmath import (SIEVE_CAP, PrimeContext, build_prime_context,
-                      factorize, primes_up_to)
+                      factorize, primes_between)
 from .residues import compute_k
 
 N_POLICIES = ("all_odd_divisors", "largest_odd_divisor", "fixed_n")
@@ -150,7 +150,7 @@ def _case_ns(p: int, factors, config: SweepConfig) -> list[int]:
 
 
 def _primes(config: SweepConfig) -> list[int]:
-    primes = [p for p in primes_up_to(config.p_max) if p >= config.p_min]
+    primes = primes_between(config.p_min, config.p_max)
     if not primes:
         raise EmptyRange(f"no primes in [{config.p_min}, {config.p_max}]")
     return primes

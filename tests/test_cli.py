@@ -82,6 +82,18 @@ def test_roots_human_and_json():
     assert pow(doc["x0"], 3, 13) == 8
 
 
+def test_roots_reports_m_reduced_mod_p(capsys):
+    # both outputs print m % p, as `decompose` does
+    for flags in ([], ["--json"]):
+        assert main(["roots", "13", "3", "8", *flags]) == 0
+        expected = capsys.readouterr().out
+        for m in ("21", "-5"):
+            assert main(["roots", "13", "3", m, *flags]) == 0
+            assert capsys.readouterr().out == expected, (m, flags)
+    assert main(["roots", "13", "3", "21"]) == 0
+    assert "x^3 = 8 (mod 13)" in capsys.readouterr().out
+
+
 def test_roots_identity_set():
     doc = json.loads(run_cli("roots", "13", "3", "1", "--json").stdout)
     assert doc["roots"] == [1, 3, 9]

@@ -5,7 +5,7 @@ import pytest
 
 from powres import (MODULUS_CAP, NotPrime, ScaleLimit, TooSmall,
                     build_prime_context, factorize, is_prime, primes_up_to)
-from powres.modmath import powers
+from powres.modmath import powers, primes_between
 
 
 def multiplicative_order(a, p):
@@ -34,6 +34,18 @@ def test_is_prime_handles_strong_pseudoprime_candidates():
     for m in (561, 1105, 1729, 2465, 2821, 6601, 8911, 3215031751):
         assert not is_prime(m)
     assert is_prime(2**61 - 1)  # Mersenne prime within the cap
+
+
+def test_primes_between_matches_the_full_sieve():
+    windows = [(-5, 100), (0, 1), (1, 2), (2, 2), (2, 30),  # p_min <= 2
+               (97, 97), (91, 91), (4, 4), (1, 1),  # p_min = p_max
+               (25, 49), (49, 121), (121, 169), (289, 289), (961, 1369),
+               (120, 170), (50, 40)]  # prime squares on the edges
+    windows += [(lo, lo + w) for lo in range(0, 3000, 97)
+                for w in (0, 1, 60, 999)]
+    for lo, hi in windows:
+        assert primes_between(lo, hi) == \
+            [q for q in primes_up_to(hi) if q >= lo], (lo, hi)
 
 
 def test_factorize_examples():

@@ -11,6 +11,7 @@ from powres import (BadN, BadResidue, InvariantViolation, KResult,
                     is_nth_residue, nth_root_solutions, odd_divisors,
                     power_residue_subgroup, primes_up_to, principal_nth_root,
                     roots_of_unity_subgroup)
+from powres import residues
 from powres.residues import _root_coset
 
 PRIMES_2000 = [p for p in primes_up_to(1999) if p >= 5]
@@ -180,6 +181,84 @@ def test_oracle_equivalence_small_range():
         ctx = build_prime_context(p)
         for n in odd_divisors(p - 1):
             assert compute_k(ctx, n).k == brute_force_k(ctx, n), (p, n)
+
+
+def k_by_direct_scan(p, n):
+    """k(p, n) by the direct set scan: add x**n and p - x**n, x = 1, 2, ...,
+    until the set holds all (p - 1)/n residues."""
+    size = (p - 1) // n
+    covered = set()
+    x = 0
+    while len(covered) < size:
+        x += 1
+        r = pow(x, n, p)
+        covered.add(r)
+        covered.add(p - r)
+    return x
+
+
+def test_compute_k_matches_direct_scan_on_every_odd_n():
+    for p in [q for q in primes_up_to(3000) if q >= 300]:
+        ctx = build_prime_context(p)
+        for n in odd_divisors(p - 1):
+            assert compute_k(ctx, n).k == k_by_direct_scan(p, n), (p, n)
+
+
+def test_compute_k_both_mark_containers(monkeypatch):
+    sparse = []
+
+    class CountedMarks(residues._SparseMarks):
+        def __init__(self):
+            sparse.append(1)
+            super().__init__()
+
+    monkeypatch.setattr(residues, "_SparseMarks", CountedMarks)
+    # n <= 32 marks a bytearray, n > 32 a dict
+    for p, n, is_sparse in ((67, 33, True), (199, 33, True), (311, 31, False),
+                            (311, 155, True)):
+        before = len(sparse)
+        assert compute_k(build_prime_context(p), n).k == \
+            k_by_direct_scan(p, n), (p, n)
+        assert len(sparse) - before == is_sparse, (p, n)
+
+
+def test_compute_k_past_the_stored_powers():
+    # k >= 2|R|: the scan runs on with plain pow beyond the stored powers
+    for p, n in ((233, 29), (241, 15), (487, 9)):
+        k = compute_k(build_prime_context(p), n).k
+        assert k >= 2 * (p - 1) // n
+        assert k == k_by_direct_scan(p, n), (p, n)
+
+
+def test_compute_k_from_a_reset_table(monkeypatch):
+    monkeypatch.setattr(residues, "_LEAST_FACTOR", [0, 0])
+    p, n = 100003, 7
+    assert compute_k(build_prime_context(p), n).k == k_by_direct_scan(p, n)
+    size = len(residues._LEAST_FACTOR)
+    assert size & (size - 1) == 0 and size <= 4 * (p - 1) // n
+
+
+def test_compute_k_large_cases():
+    for p, n in ((1000003, 3), (100003, 7), (1999891, 1215)):
+        assert compute_k(build_prime_context(p), n).k == \
+            k_by_direct_scan(p, n), (p, n)
+
+
+def test_least_factor_table_matches_trial_division(monkeypatch):
+    def least_factor(x):
+        q = 2
+        while q * q <= x:
+            if x % q == 0:
+                return q
+            q += 1
+        return 0
+
+    expected = [least_factor(x) for x in range(1 << 12)]
+    for steps in ((1 << 12,), (5, 100, 1 << 12)):
+        monkeypatch.setattr(residues, "_LEAST_FACTOR", [0, 0])
+        for size in steps:
+            table = residues._least_factors(size)
+        assert table[:1 << 12] == expected, steps
 
 
 def test_chowla_london_bounds_examples():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from math import gcd, isqrt
 
@@ -56,22 +57,15 @@ def is_prime(m: int) -> bool:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, by a byte sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for q in range(2, isqrt(n) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = bytearray(len(range(q * q, n + 1, q)))
-    return list(compress(range(n + 1), sieve))
+    """All primes <= n."""
+    return primes_between(2, n)
 
 
 def primes_between(lo: int, hi: int) -> list[int]:
     """All primes in [lo, hi], by a byte sieve of that window alone.
 
-    The window is crossed off by the primes up to isqrt(hi), so its memory
-    follows hi - lo, not hi.
+    The window is crossed off by the primes up to isqrt(hi), found by the
+    same sieve, so its memory follows hi - lo, not hi.
     """
     lo = max(lo, 2)
     if hi < lo:
@@ -168,32 +162,38 @@ def factorize(m: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class PrimeContext:
-    """A verified odd prime with factored p - 1 and its least primitive root.
+    """A prime p >= 5; p - 1's factors and the least primitive root g are
+    derived from p when first read, then kept.
 
-    Immutable after construction; safe to share across parallel workers.
+    The caller proves p prime: build_prime_context for input, the window
+    sieve for the primes of a sweep.  Safe to share across workers.
     """
 
     p: int
-    factors: tuple[tuple[int, int], ...]
-    g: int
+
+    @cached_property
+    def factors(self) -> tuple[tuple[int, int], ...]:
+        return tuple(factorize(self.p - 1))
+
+    @cached_property
+    def g(self) -> int:
+        """Candidates 2, 3, ... are tested in order via g**((p-1)/q) != 1
+        for each prime q | p - 1, so g is the least on every machine."""
+        p = self.p
+        quotients = [(p - 1) // q for q, _ in self.factors]
+        g = 2
+        while any(pow(g, t, p) == 1 for t in quotients):
+            g += 1
+        return g
 
 
 def build_prime_context(p: int) -> PrimeContext:
-    """Validate p, factor p - 1, and find the least primitive root.
-
-    Candidates g = 2, 3, ... are tested in order against every prime
-    factor q of p - 1 via g**((p-1)/q) != 1, so the returned g is the
-    smallest generator and runs are reproducible across machines.
-    """
+    """The context of a p from input, proved prime by is_prime; raises
+    ScaleLimit (p >= 2**62), then NotPrime, then TooSmall (p < 5)."""
     if p >= MODULUS_CAP:
         raise ScaleLimit(f"p must be below 2**62, got {p}")
     if not is_prime(p):
         raise NotPrime(f"p is not prime (got {p})")
     if p < 5:
         raise TooSmall(f"p must be >= 5, got {p}")
-    factors = tuple(factorize(p - 1))
-    quotients = [(p - 1) // q for q, _ in factors]
-    g = 2
-    while any(pow(g, t, p) == 1 for t in quotients):
-        g += 1
-    return PrimeContext(p=p, factors=factors, g=g)
+    return PrimeContext(p)

@@ -6,9 +6,9 @@ computes k(p, n) (optionally with subgroup-sum statistics) per case, and
 fits ln k against ln p by least squares.
 
 Work is partitioned per prime: one pool task builds the prime's context
-(factored p - 1, least primitive root) once and runs its cases in ascending
-n.  Workers share only the immutable config, and results are joined in prime
-order, so output files are byte-identical for any worker count.
+once and runs its cases in ascending n.  Workers share only the immutable
+config, and results are joined in prime order, so output files are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import math
 import os
 import re
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -137,15 +138,15 @@ def odd_divisors(m: int) -> list[int]:
     return _odd_divisors_of(factorize(m))
 
 
-def _case_ns(p: int, factors, config: SweepConfig) -> list[int]:
-    candidates = _odd_divisors_of(factors)
+def _case_ns(ctx: PrimeContext, config: SweepConfig) -> list[int]:
+    candidates = _odd_divisors_of(ctx.factors)
     if config.n_policy == "largest_odd_divisor":
         candidates = candidates[-1:]
     elif config.n_policy == "fixed_n":
         candidates = [n for n in candidates if n == config.fixed_n]
     kept = [n for n in candidates if n >= config.n_min]
     if config.epsilon > 0.0:
-        kept = [n for n in kept if n > p**config.epsilon]
+        kept = [n for n in kept if n > ctx.p**config.epsilon]
     return kept
 
 
@@ -163,17 +164,7 @@ def enumerate_cases(config: SweepConfig) -> list[tuple[int, int]]:
     merely reject every divisor yield an empty list instead.
     """
     return [(p, n) for p in _primes(config)
-            for n in _case_ns(p, factorize(p - 1), config)]
-
-
-def _expsum_table(ctx: PrimeContext, with_expsums: bool) -> PhaseTable | None:
-    """The prime's phase table; None without expsums or above the cap."""
-    if not with_expsums:
-        return None
-    try:
-        return phase_table(ctx)
-    except ScaleLimit:
-        return None
+            for n in _case_ns(PrimeContext(p), config)]
 
 
 def _case_record(ctx: PrimeContext, n: int,
@@ -202,19 +193,27 @@ def _case_record(ctx: PrimeContext, n: int,
                        elapsed_ms=elapsed)
 
 
+def _prime_records(ctx: PrimeContext, ns: list[int],
+                   with_expsums: bool) -> list[SweepRecord]:
+    """The records of one prime's cases ns, in order, sharing at most one
+    phase table: none without expsums, without cases or above the cap."""
+    try:
+        table = phase_table(ctx) if with_expsums and ns else None
+    except ScaleLimit:
+        table = None
+    return [_case_record(ctx, n, table) for n in ns]
+
+
 def run_case(p: int, n: int, *, with_expsums: bool = False) -> SweepRecord:
     """Compute one sweep record; cap overruns become skip records."""
-    ctx = build_prime_context(p)
-    return _case_record(ctx, n, _expsum_table(ctx, with_expsums))
+    return _prime_records(build_prime_context(p), [n], with_expsums)[0]
 
 
 def _run_prime(p: int, config: SweepConfig) -> list[SweepRecord]:
-    """All of one prime's records, in ascending n, from one context and at
-    most one phase table."""
-    ctx = build_prime_context(p)
-    ns = _case_ns(p, ctx.factors, config)
-    table = _expsum_table(ctx, config.with_expsums and bool(ns))
-    return [_case_record(ctx, n, table) for n in ns]
+    """All of one prime's records, in ascending n; p comes from the sieve
+    of a SweepConfig window, so it is a prime in [5, SIEVE_CAP]."""
+    ctx = PrimeContext(p)
+    return _prime_records(ctx, _case_ns(ctx, config), config.with_expsums)
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
@@ -303,14 +302,15 @@ def write_records(records: list[SweepRecord], path: str, fmt: str = "csv", *,
     profiling dumps.  JSONL rows carry an extra skip_reason key (null for
     completed cases) that CSV omits.
 
-    A regular file is written to a temporary file beside it, which then
-    replaces it in one step: a write that fails or is interrupted leaves
-    any earlier file as it was and no partial file behind.  A device, a
-    FIFO or a path naming an open descriptor (/dev/stdout, /dev/stderr,
-    /dev/fd/N, /proc/self/fd/N) is written directly, the last through the
-    descriptor itself: it may lead to a regular file, such as the target
-    of a shell redirection, that must not be replaced.  An empty path is
-    refused with ValueError before anything is opened.
+    A regular file is written to a temporary file beside it, one per
+    thread, which then replaces it in one step: a write that fails or is
+    interrupted leaves any earlier file as it was and no partial file
+    behind.  A device, a FIFO or a path naming an open descriptor
+    (/dev/stdout, /dev/stderr, /dev/fd/N, /proc/self/fd/N) is written
+    directly, the last through the descriptor itself: it may lead to a
+    regular file, such as the target of a shell redirection, that must not
+    be replaced.  An empty path is refused with ValueError before anything
+    is opened.
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
@@ -325,7 +325,7 @@ def write_records(records: list[SweepRecord], path: str, fmt: str = "csv", *,
             _write_rows(fh, records, fmt, with_timings)
         return
     target = os.path.realpath(path)
-    tmp = f"{target}.{os.getpid()}.tmp"
+    tmp = f"{target}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             _write_rows(fh, records, fmt, with_timings)

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 from powres import build_prime_context, cli, compute_k, errors, \
-    expsum_profile, orthogonality_decomposition, phase_table, sweep
+    expsum_profile, modmath, orthogonality_decomposition, phase_table, sweep
 from powres.cli import main
 
 
@@ -48,6 +48,20 @@ def test_compute_sandwich_failure_exits_1(monkeypatch, capsys):
     assert main(["compute", "13", "3", "--json"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "bound violation" in err
+
+
+def test_compute_never_factors_p_minus_1(monkeypatch, capsys):
+    factored = []
+    real = modmath.factorize
+
+    def counted(m):
+        factored.append(m)
+        return real(m)
+    monkeypatch.setattr(modmath, "factorize", counted)
+    assert main(["compute", "13", "3"]) == 0
+    assert main(["compute", "10009", "9", "--json"]) == 0
+    assert "k(13, 3) = 2" in capsys.readouterr().out
+    assert factored == []
 
 
 def test_compute_domain_errors_exit_1():

@@ -37,7 +37,8 @@ check("n_divides_t", lambda: principal_nth_root(ctx, 3, 8))
 residues._bsgs_log = real_log
 
 # root count: 12 has order 2 mod 13, so its "n-th roots of unity" collapse
-fake = PrimeContext(p=13, factors=ctx.factors, g=12)
+fake = PrimeContext(13)
+fake.__dict__["g"] = 12
 check("root_count", lambda: residues._root_coset(fake, 3, 1))
 
 # discrete log: 8 is not a power of the false primitive root 12

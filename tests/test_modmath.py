@@ -1,10 +1,12 @@
+import dataclasses
 import random
 from itertools import islice
 
 import pytest
 
-from powres import (MODULUS_CAP, NotPrime, ScaleLimit, TooSmall,
-                    build_prime_context, factorize, is_prime, primes_up_to)
+from powres import (MODULUS_CAP, NotPrime, PrimeContext, ScaleLimit,
+                    TooSmall, build_prime_context, factorize, is_prime,
+                    primes_up_to)
 from powres.modmath import powers, primes_between
 
 
@@ -36,7 +38,7 @@ def test_is_prime_handles_strong_pseudoprime_candidates():
     assert is_prime(2**61 - 1)  # Mersenne prime within the cap
 
 
-def test_primes_between_matches_the_full_sieve():
+def test_primes_between_matches_is_prime():
     windows = [(-5, 100), (0, 1), (1, 2), (2, 2), (2, 30),  # p_min <= 2
                (97, 97), (91, 91), (4, 4), (1, 1),  # p_min = p_max
                (25, 49), (49, 121), (121, 169), (289, 289), (961, 1369),
@@ -45,7 +47,7 @@ def test_primes_between_matches_the_full_sieve():
                 for w in (0, 1, 60, 999)]
     for lo, hi in windows:
         assert primes_between(lo, hi) == \
-            [q for q in primes_up_to(hi) if q >= lo], (lo, hi)
+            [q for q in range(lo, hi + 1) if is_prime(q)], (lo, hi)
 
 
 def test_factorize_examples():
@@ -98,6 +100,17 @@ def test_build_prime_context_examples():
     for base, start in ((ctx.g, 1), (ctx.g, 7), (1, 5), (12, 3)):
         walk = list(islice(powers(base, 13, start), 30))
         assert walk == [start * pow(base, j, 13) % 13 for j in range(30)]
+
+
+def test_context_stores_p_and_derives_the_rest_when_read():
+    assert [f.name for f in dataclasses.fields(PrimeContext)] == ["p"]
+    ctx = PrimeContext(13)
+    assert ctx.__dict__ == {"p": 13}
+    assert ctx.g == 2
+    assert ctx.__dict__ == {"p": 13, "factors": ((2, 2), (3, 1)), "g": 2}
+    for p in primes_between(5, 20000):
+        built, derived = build_prime_context(p), PrimeContext(p)
+        assert (derived.factors, derived.g) == (built.factors, built.g), p
 
 
 def test_build_prime_context_rejections():

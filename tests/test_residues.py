@@ -121,7 +121,8 @@ def test_bsgs_cap_rejects_large_moduli(ctx13, monkeypatch):
 
 def test_root_count_invariant_fires_on_a_false_primitive_root(ctx13):
     # 12 has order 2 mod 13, so its powers give 1 root where 3 are due
-    fake = PrimeContext(p=13, factors=ctx13.factors, g=12)
+    fake = PrimeContext(13)
+    fake.__dict__["g"] = 12
     with pytest.raises(InvariantViolation, match="found 1 roots, expected 3"):
         _root_coset(fake, 3, 1)
 

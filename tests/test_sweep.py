@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import sys
 import threading
 from collections import Counter
 from fractions import Fraction
@@ -155,15 +156,44 @@ def test_one_context_and_one_factorisation_per_prime(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     for module, name in ((modmath, "factorize"), (sweep, "factorize"),
-                         (sweep, "build_prime_context")):
+                         (sweep, "PrimeContext")):
         count(module, name)
     primes = [p for p in primes_up_to(2000) if p >= 5]
     run_sweep(SweepConfig(p_min=5, p_max=2000, workers=1))
-    assert calls == {"build_prime_context": len(primes),
-                     "factorize": len(primes)}
+    assert calls == {"PrimeContext": len(primes), "factorize": len(primes)}
     calls.clear()
     enumerate_cases(SweepConfig(p_min=5, p_max=2000))
-    assert calls == {"factorize": len(primes)}
+    assert calls == {"PrimeContext": len(primes), "factorize": len(primes)}
+
+
+def recorded_contexts(monkeypatch):
+    """The contexts the sweep builds from now on, in order."""
+    made = []
+    real = sweep.PrimeContext
+
+    def recorded(p):
+        made.append(real(p))
+        return made[-1]
+    monkeypatch.setattr(sweep, "PrimeContext", recorded)
+    return made
+
+
+def test_k_only_sweep_searches_no_root_and_tests_no_primality(monkeypatch):
+    tested = []
+    real_is_prime = modmath.is_prime
+
+    def counted(m):
+        tested.append(m)
+        return real_is_prime(m)
+    monkeypatch.setattr(modmath, "is_prime", counted)
+    made = recorded_contexts(monkeypatch)
+    run_sweep(SweepConfig(p_min=5, p_max=2000, workers=1))
+    assert [ctx.p for ctx in made] == modmath.primes_between(5, 2000)
+    assert all("factors" in ctx.__dict__ for ctx in made)
+    assert not any("g" in ctx.__dict__ for ctx in made)
+    # Below 2**16 factorize splits p - 1 by trial division alone, so any
+    # is_prime call would be a second proof of a sieve prime.
+    assert tested == []
 
 
 def test_one_phase_table_per_prime_with_cases(monkeypatch):
@@ -175,11 +205,15 @@ def test_one_phase_table_per_prime_with_cases(monkeypatch):
         return real_table(ctx, **kwargs)
     monkeypatch.setattr(sweep, "phase_table", counted)
     config = SweepConfig(p_min=5, p_max=2000, n_min=5, with_expsums=True)
-    records = run_sweep(config)
     primes_with_cases = {p for p, _ in enumerate_cases(config)}
+    made = recorded_contexts(monkeypatch)
+    records = run_sweep(config)
     assert len(primes_with_cases) < len(
         [p for p in primes_up_to(2000) if p >= 5])
     assert calls == Counter(primes_with_cases)
+    # one context per prime, so each root search runs once
+    assert [ctx.p for ctx in made] == modmath.primes_between(5, 2000)
+    assert {ctx.p for ctx in made if "g" in ctx.__dict__} == primes_with_cases
     assert all(r.max_expsum_ratio is not None for r in records)
     calls.clear()
     run_sweep(dataclasses.replace(config, with_expsums=False))
@@ -324,6 +358,40 @@ def test_identical_configs_identical_bytes(tmp_path):
         paths.append(path)
     blobs = [open(p, "rb").read() for p in paths]
     assert blobs[0] == blobs[1]
+
+
+def test_concurrent_writers_to_one_path_leave_one_whole_file(tmp_path):
+    outputs = []
+    for i, rows in enumerate((20000, 15000)):
+        records = [make_record(5 + j, 1) for j in range(rows)]
+        write_records(records, str(tmp_path / f"alone{i}.csv"))
+        outputs.append((records, (tmp_path / f"alone{i}.csv").read_bytes()))
+    target = tmp_path / "shared.csv"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            start = threading.Barrier(2)
+            errors = []
+
+            def write(records):
+                start.wait(timeout=10)
+                try:
+                    write_records(records, str(target))
+                except Exception as exc:
+                    errors.append(exc)
+            threads = [threading.Thread(target=write, args=(records,))
+                       for records, _ in outputs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert target.read_bytes() in {blob for _, blob in outputs}
+            assert list(tmp_path.glob("*.tmp")) == []
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_failed_write_keeps_earlier_file(tmp_path):

@@ -18,11 +18,10 @@ from .expsums import (DecompositionResult, ExpSumProfile, PhaseTable,
                       phase_table, subgroup_expsum)
 from .modmath import (MODULUS_CAP, SIEVE_CAP, PrimeContext,
                       build_prime_context, factorize, is_prime, primes_up_to)
-from .residues import (ENUM_CAP_DEFAULT, KResult, SubgroupSpec,
-                       brute_force_k, chowla_london_bounds, compute_k,
-                       is_nth_residue, nth_root_solutions,
-                       power_residue_subgroup, principal_nth_root,
-                       roots_of_unity_subgroup)
+from .residues import (ENUM_CAP_DEFAULT, KResult, brute_force_k,
+                       chowla_london_bounds, compute_k, is_nth_residue,
+                       nth_root_solutions, power_residue_subgroup,
+                       principal_nth_root, roots_of_unity_subgroup)
 from .sweep import (CSV_COLUMNS, FitResult, SweepConfig, SweepRecord,
                     enumerate_cases, fit_exponent, odd_divisors,
                     read_records, run_case, run_sweep, write_records)

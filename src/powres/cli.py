@@ -19,8 +19,8 @@ from .expsums import (empirical_delta, expsum_profile,
 from .modmath import build_prime_context
 from .residues import (_require_valid_n, _root_coset, compute_k,
                        principal_nth_root)
-from .sweep import (FORMATS, N_POLICIES, SweepConfig, fit_exponent,
-                    run_sweep, write_records)
+from .sweep import (FORMATS, N_POLICIES, SweepConfig, exact_fields,
+                    fit_exponent, run_sweep, write_records)
 
 
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
@@ -35,14 +35,7 @@ def cmd_compute(args) -> int:
     ctx = build_prime_context(args.p)
     result = compute_k(ctx, args.n)
     sandwich = "skipped" if args.n == 1 else "pass"
-    payload = {
-        "p": result.p, "n": result.n, "k": result.k,
-        "lower_num": result.lower.numerator,
-        "lower_den": result.lower.denominator,
-        "upper_num": result.upper_exclusive.numerator,
-        "upper_den": result.upper_exclusive.denominator,
-        "sandwich": sandwich,
-    }
+    payload = {**exact_fields(result), "sandwich": sandwich}
     lines = [
         f"k({result.p}, {result.n}) = {result.k}",
         f"bounds: {result.lower} <= k < {result.upper_exclusive}",

@@ -19,14 +19,15 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import cycle, islice
 from math import cos, fsum, pi, sin
 from operator import indexOf
 
 from .errors import BadN, BadRadius, InvariantViolation, ZeroFrequency
 from .modmath import PrimeContext, powers
-from .residues import (SubgroupSpec, _require_enumerable, _root_coset,
-                       nth_root_solutions, principal_nth_root)
+from .residues import (_require_enumerable, _root_coset, nth_root_solutions,
+                       principal_nth_root)
 
 
 def _check_radius(p: int, K: int) -> None:
@@ -34,11 +35,10 @@ def _check_radius(p: int, K: int) -> None:
         raise BadRadius(f"K must be an integer in [1, {(p - 1) // 2}], got {K}")
 
 
-def subgroup_expsum(H: SubgroupSpec, a: int) -> complex:
-    """S(a, H) = sum of e(a*h/p) over the enumerated subgroup."""
-    p = H.p
+def subgroup_expsum(p: int, H: tuple[int, ...], a: int) -> complex:
+    """S(a, H) = sum of e(a*h/p) over the enumerated subgroup H of F_p^*."""
     a %= p
-    angles = [2.0 * pi * ((a * h) % p) / p for h in H.elements]
+    angles = [2.0 * pi * ((a * h) % p) / p for h in H]
     return complex(fsum(map(cos, angles)), fsum(map(sin, angles)))
 
 
@@ -73,7 +73,7 @@ def phase_table(ctx: PrimeContext) -> PhaseTable:
 
 @dataclass(frozen=True)
 class ExpSumProfile:
-    """Per-coset values of S(a, H) plus summary statistics.
+    """Per-coset values of S(a, H); its statistics are derived when read.
 
     coset_values lists (representative g**i, S) for i = 0..(p-1)/|H| - 1,
     which by coset constancy covers every a in F_p^*.  max_magnitude is the
@@ -88,17 +88,29 @@ class ExpSumProfile:
     p: int
     subgroup_order: int
     coset_values: tuple[tuple[int, complex], ...]
-    max_magnitude: float
-    argmax_a: int
-    parseval_residual: float
+
+    @cached_property
+    def max_magnitude(self) -> float:
+        return max(abs(s) for _, s in self.coset_values)
 
     @property
     def max_ratio(self) -> float:
         return self.max_magnitude / self.subgroup_order
 
+    @property
+    def argmax_a(self) -> int:
+        magnitudes = (abs(s) for _, s in self.coset_values)
+        return self.coset_values[indexOf(magnitudes, self.max_magnitude)][0]
+
+    @property
+    def parseval_residual(self) -> float:
+        d = self.subgroup_order
+        squares = fsum(abs(s) ** 2 for _, s in self.coset_values)
+        return abs(d * squares + float(d * d) - self.p * d)
+
 
 def expsum_profile(table: PhaseTable, d: int) -> ExpSumProfile:
-    """Evaluate S once per coset of the order-d subgroup and summarize.
+    """Evaluate S once per coset of the order-d subgroup.
 
     With m = (p-1)/d and h = (p-1)/2, coset i sums the table slice [i::m]
     plus the conjugate of the slice [(i+h) % m::m].  For odd d that second
@@ -119,17 +131,8 @@ def expsum_profile(table: PhaseTable, d: int) -> ExpSumProfile:
         sums[i] = s
         if c:
             sums[j] = s.conjugate()
-    max_magnitude = max(map(abs, sums))
-    total_square = d * fsum(abs(s) ** 2 for s in sums) + float(d * d)
-    coset_values = tuple(zip(powers(g, p), sums))
-    return ExpSumProfile(
-        p=p,
-        subgroup_order=d,
-        coset_values=coset_values,
-        max_magnitude=max_magnitude,
-        argmax_a=coset_values[indexOf(map(abs, sums), max_magnitude)][0],
-        parseval_residual=abs(total_square - p * d),
-    )
+    return ExpSumProfile(p=p, subgroup_order=d,
+                         coset_values=tuple(zip(powers(g, p), sums)))
 
 
 def empirical_delta(profile: ExpSumProfile) -> float | None:
@@ -216,7 +219,7 @@ class DecompositionResult:
 
     exact_count is computed independently from the root set; main_term is
     (n/p) * 2K and error_term the r = 1..p-1 frequency sum, so in exact
-    arithmetic main_term + error_term == exact_count.
+    arithmetic their sum, reconstruction, equals exact_count.
     """
 
     m: int  # reduced mod p
@@ -224,7 +227,10 @@ class DecompositionResult:
     exact_count: int
     main_term: float
     error_term: float
-    reconstruction: float
+
+    @property
+    def reconstruction(self) -> float:
+        return self.main_term + self.error_term
 
 
 def orthogonality_decomposition(ctx: PrimeContext, n: int, m: int,
@@ -258,5 +264,4 @@ def orthogonality_decomposition(ctx: PrimeContext, n: int, m: int,
     main_term = (n / p) * 2.0 * K
     exact = _count_within(p, _root_coset(ctx, n, x0), K)
     return DecompositionResult(m=m % p, K=K, exact_count=exact,
-                               main_term=main_term, error_term=error_term,
-                               reconstruction=main_term + error_term)
+                               main_term=main_term, error_term=error_term)

@@ -50,34 +50,22 @@ def _require_valid_n(p: int, n: int) -> None:
         raise BadN(f"n must divide p - 1 = {p - 1}, got {n}")
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
-    """Cyclic subgroup of F_p^* of order `order`.
-
-    `elements` holds w**j mod p for j = 0..order-1, w = g**((p-1)/order).
-    A spec is only built when its order is within the enumeration cap.
-    """
-
-    p: int
-    order: int
-    elements: tuple[int, ...]
-
-
-def _subgroup_of_order(ctx: PrimeContext, d: int) -> SubgroupSpec:
-    """The unique subgroup of order d | p - 1, generated by g**((p-1)/d)."""
+def _subgroup_of_order(ctx: PrimeContext, d: int, start: int = 1, *,
+                       what: str = "subgroup") -> tuple[int, ...]:
+    """start * w**j mod p for j = 0..d-1, w = g**((p-1)/d): the subgroup of
+    order d | p - 1 in generator order, or its coset through start."""
     p = ctx.p
-    _require_enumerable(d, "subgroup")
-    w = pow(ctx.g, (p - 1) // d, p)
-    return SubgroupSpec(p=p, order=d, elements=tuple(islice(powers(w, p), d)))
+    _require_enumerable(d, what)
+    return tuple(islice(powers(pow(ctx.g, (p - 1) // d, p), p, start), d))
 
 
-def roots_of_unity_subgroup(ctx: PrimeContext, n: int) -> SubgroupSpec:
+def roots_of_unity_subgroup(ctx: PrimeContext, n: int) -> tuple[int, ...]:
     """The order-n subgroup of n-th roots of unity mod p."""
     _require_valid_n(ctx.p, n)
     return _subgroup_of_order(ctx, n)
 
 
-def power_residue_subgroup(ctx: PrimeContext, n: int) -> SubgroupSpec:
+def power_residue_subgroup(ctx: PrimeContext, n: int) -> tuple[int, ...]:
     """The subgroup {x**n : x in F_p^*} of order (p - 1)/n, generated by g**n."""
     _require_valid_n(ctx.p, n)
     return _subgroup_of_order(ctx, (ctx.p - 1) // n)
@@ -134,10 +122,7 @@ def principal_nth_root(ctx: PrimeContext, n: int, m: int) -> int:
 
 def _root_coset(ctx: PrimeContext, n: int, x0: int) -> set[int]:
     """All n solutions of x**n == x0**n: {x0 * g**((p-1)j/n) : j = 0..n-1}."""
-    p = ctx.p
-    _require_enumerable(n, "root coset")
-    w = pow(ctx.g, (p - 1) // n, p)
-    roots = set(islice(powers(w, p, x0), n))
+    roots = set(_subgroup_of_order(ctx, n, x0, what="root coset"))
     if len(roots) != n:
         raise InvariantViolation(f"found {len(roots)} roots, expected {n}")
     return roots
@@ -150,9 +135,9 @@ def nth_root_solutions(ctx: PrimeContext, n: int, m: int) -> set[int]:
 
 @dataclass(frozen=True)
 class KResult:
-    """k(p, n) together with the elementary sandwich bounds.
+    """k(p, n); its sandwich bounds are derived from p and n when read.
 
-    lower = (p-1)/(2n) and upper_exclusive = (1/2 - 1/(2n)) * p, both exact
+    lower = (p-1)/(2n) and upper_exclusive = (1/2 - 1/(2n)) * p, exact
     rationals.  For n >= 3 the sandwich lower <= k < upper_exclusive is a
     theorem, so construction (dataclasses.replace too) refuses a k outside
     it with InvariantViolation; at n = 1 the upper bound degenerates to 0
@@ -162,13 +147,20 @@ class KResult:
     p: int
     n: int
     k: int
-    lower: Fraction
-    upper_exclusive: Fraction
 
     def __post_init__(self) -> None:
-        if self.n >= 3 and not self.lower <= self.k < self.upper_exclusive:
+        p, n, k = self.p, self.n, self.k  # the sandwich times 2n
+        if n >= 3 and not p - 1 <= 2 * n * k < (n - 1) * p:
             raise InvariantViolation(
-                f"bound violation at (p={self.p}, n={self.n}): k = {self.k}")
+                f"bound violation at (p={p}, n={n}): k = {k}")
+
+    @property
+    def lower(self) -> Fraction:
+        return chowla_london_bounds(self.p, self.n)[0]
+
+    @property
+    def upper_exclusive(self) -> Fraction:
+        return chowla_london_bounds(self.p, self.n)[1]
 
 
 def chowla_london_bounds(p: int, n: int) -> tuple[Fraction, Fraction]:
@@ -224,11 +216,11 @@ def compute_k(ctx: PrimeContext, n: int) -> KResult:
     enumeration cap: at most 2|R| stored powers, a table of at most 4|R|
     entries (for the largest |R| scanned in the process), and marks in a
     bytearray of (p + 1)/2 <= 16|R| + 1 bytes when n <= 32, in a dict of at
-    most |R|/2 keys otherwise.  chowla_london_bounds validates n; the
-    KResult refuses a k outside the sandwich.
+    most |R|/2 keys otherwise.  The KResult refuses a k outside the
+    sandwich.
     """
     p = ctx.p
-    lower, upper = chowla_london_bounds(p, n)
+    _require_valid_n(p, n)
     size = (p - 1) // n
     _require_enumerable(size, "residue subgroup")
     stop = 2 * size
@@ -258,7 +250,7 @@ def compute_k(ctx: PrimeContext, n: int) -> KResult:
         if not marks[r]:
             marks[r] = 1
             unmarked -= 1
-    return KResult(p=p, n=n, k=x, lower=lower, upper_exclusive=upper)
+    return KResult(p=p, n=n, k=x)
 
 
 def brute_force_k(ctx: PrimeContext, n: int) -> int:

@@ -30,7 +30,7 @@ from .errors import EmptyRange, InvariantViolation, ScaleLimit
 from .expsums import PhaseTable, empirical_delta, expsum_profile, phase_table
 from .modmath import (SIEVE_CAP, PrimeContext, build_prime_context,
                       factorize, primes_between)
-from .residues import compute_k
+from .residues import KResult, chowla_london_bounds, compute_k
 
 N_POLICIES = ("all_odd_divisors", "largest_odd_divisor", "fixed_n")
 
@@ -88,18 +88,30 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One (p, n) row; k and the derived fields are None when skipped."""
+    """One (p, n) row as measured; k and the fields derived from it when
+    read (lower, upper_exclusive, normalized) are None when skipped."""
 
     p: int
     n: int
     k: int | None
-    lower: Fraction | None = None
-    upper_exclusive: Fraction | None = None
-    normalized: float | None = None
     max_expsum_ratio: float | None = None
     delta_emp: float | None = None
     elapsed_ms: int | None = None
     skip_reason: str | None = None
+
+    @property
+    def lower(self) -> Fraction | None:
+        return (None if self.k is None
+                else chowla_london_bounds(self.p, self.n)[0])
+
+    @property
+    def upper_exclusive(self) -> Fraction | None:
+        return (None if self.k is None
+                else chowla_london_bounds(self.p, self.n)[1])
+
+    @property
+    def normalized(self) -> float | None:
+        return None if self.k is None else self.k * 2 * self.n / (self.p - 1)
 
     @property
     def log_p(self) -> float:
@@ -186,11 +198,8 @@ def _case_record(ctx: PrimeContext, n: int,
         max_ratio = profile.max_ratio
         delta = empirical_delta(profile)
     elapsed = int(round((time.perf_counter() - start) * 1000))
-    return SweepRecord(p=p, n=n, k=result.k, lower=result.lower,
-                       upper_exclusive=result.upper_exclusive,
-                       normalized=result.k * 2 * n / (p - 1),
-                       max_expsum_ratio=max_ratio, delta_emp=delta,
-                       elapsed_ms=elapsed)
+    return SweepRecord(p=p, n=n, k=result.k, max_expsum_ratio=max_ratio,
+                       delta_emp=delta, elapsed_ms=elapsed)
 
 
 def _prime_records(ctx: PrimeContext, ns: list[int],
@@ -223,7 +232,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """
     primes = _primes(config)
     task = partial(_run_prime, config=config)
-    workers = min(config.workers, len(primes), os.cpu_count() or 1)
+    # the CPUs this process may run on, where the platform says which
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(config.workers, len(primes), cpus)
     if workers == 1:
         per_prime = map(task, primes)
     else:
@@ -258,22 +270,21 @@ def fit_exponent(records: list[SweepRecord]) -> FitResult | None:
                      r_squared=r_squared, n_points=len(points))
 
 
+def exact_fields(rec: SweepRecord | KResult) -> dict[str, int | None]:
+    """p, n, k and the sandwich bounds as exact numerator/denominator pairs
+    (None when k is): the leading fields of a sweep row and of compute."""
+    cells = [rec.p, rec.n, rec.k, None, None, None, None]
+    if rec.k is not None:
+        lower, upper = chowla_london_bounds(rec.p, rec.n)
+        cells[3:] = *lower.as_integer_ratio(), *upper.as_integer_ratio()
+    return dict(zip(CSV_COLUMNS, cells))
+
+
 def _field_values(rec: SweepRecord, with_timings: bool) -> dict[str, object]:
-    return {
-        "p": rec.p,
-        "n": rec.n,
-        "k": rec.k,
-        "lower_num": rec.lower.numerator if rec.lower is not None else None,
-        "lower_den": rec.lower.denominator if rec.lower is not None else None,
-        "upper_num": (rec.upper_exclusive.numerator
-                      if rec.upper_exclusive is not None else None),
-        "upper_den": (rec.upper_exclusive.denominator
-                      if rec.upper_exclusive is not None else None),
-        "normalized": rec.normalized,
-        "max_expsum_ratio": rec.max_expsum_ratio,
-        "delta_emp": rec.delta_emp,
-        "elapsed_ms": rec.elapsed_ms if with_timings else None,
-    }
+    return {**exact_fields(rec), "normalized": rec.normalized,
+            "max_expsum_ratio": rec.max_expsum_ratio,
+            "delta_emp": rec.delta_emp,
+            "elapsed_ms": rec.elapsed_ms if with_timings else None}
 
 
 def _write_rows(fh, records: list[SweepRecord], fmt: str,
@@ -337,23 +348,17 @@ def write_records(records: list[SweepRecord], path: str, fmt: str = "csv", *,
 
 
 def _record_from_fields(values: dict[str, object]) -> SweepRecord:
+    """The stored fields of one row; the derived columns are not read."""
     def _get(key: str, cast):
         v = values.get(key)
         if v is None or v == "":
             return None
         return cast(v)
 
-    lower_num = _get("lower_num", int)
-    upper_num = _get("upper_num", int)
     return SweepRecord(
         p=int(values["p"]),
         n=int(values["n"]),
         k=_get("k", int),
-        lower=(Fraction(lower_num, _get("lower_den", int))
-               if lower_num is not None else None),
-        upper_exclusive=(Fraction(upper_num, _get("upper_den", int))
-                         if upper_num is not None else None),
-        normalized=_get("normalized", float),
         max_expsum_ratio=_get("max_expsum_ratio", float),
         delta_emp=_get("delta_emp", float),
         elapsed_ms=_get("elapsed_ms", int),
@@ -362,7 +367,8 @@ def _record_from_fields(values: dict[str, object]) -> SweepRecord:
 
 
 def read_records(path: str, fmt: str = "csv") -> list[SweepRecord]:
-    """Parse a file produced by write_records back into records."""
+    """Parse a file produced by write_records back into records; the bound
+    and normalized columns are not read, as each record derives them."""
     if fmt not in FORMATS:
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
     records = []

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -39,6 +40,23 @@ def test_compute_json_matches_library():
 def test_compute_n1_sandwich_skipped():
     doc = json.loads(run_cli("compute", "13", "1", "--json").stdout)
     assert doc["k"] == 6 and doc["sandwich"] == "skipped"
+
+
+def test_compute_json_leads_with_the_cells_of_a_sweep_row(tmp_path, capsys):
+    path = tmp_path / "13.csv"
+    assert main(["sweep", "--p-min", "13", "--p-max", "13", "--n-min", "1",
+                 "--out", str(path)]) == 0
+    rows = list(csv.reader(path.read_text().splitlines()))[1:]
+    exact = sweep.CSV_COLUMNS[:7]
+    for n in (3, 1):
+        capsys.readouterr()
+        assert main(["compute", "13", str(n), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc)[:7] == list(exact)
+        row = next(r for r in rows if r[1] == str(n))
+        assert [str(doc[key]) for key in exact] == row[:7]
+        result = compute_k(build_prime_context(13), n)
+        assert sweep.exact_fields(result) == {key: doc[key] for key in exact}
 
 
 def test_compute_sandwich_failure_exits_1(monkeypatch, capsys):

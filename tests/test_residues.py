@@ -34,9 +34,9 @@ case_strategy = st.builds(
 
 def test_roots_of_unity_subgroup_examples(ctx7, ctx13):
     H = roots_of_unity_subgroup(ctx13, 3)
-    assert H.order == 3
-    assert set(H.elements) == {1, 3, 9}
-    assert roots_of_unity_subgroup(ctx7, 1).elements == (1,)
+    assert len(H) == 3
+    assert set(H) == {1, 3, 9}
+    assert roots_of_unity_subgroup(ctx7, 1) == (1,)
     with pytest.raises(BadN):
         roots_of_unity_subgroup(ctx13, 6)
     with pytest.raises(BadN):
@@ -47,10 +47,10 @@ def test_roots_of_unity_subgroup_examples(ctx7, ctx13):
 
 def test_power_residue_subgroup_examples(ctx7, ctx11, ctx13):
     R = power_residue_subgroup(ctx13, 3)
-    assert R.order == 4
-    assert set(R.elements) == {1, 5, 8, 12}
-    assert set(power_residue_subgroup(ctx7, 3).elements) == {1, 6}
-    assert set(power_residue_subgroup(ctx11, 5).elements) == {1, 10}
+    assert len(R) == 4
+    assert set(R) == {1, 5, 8, 12}
+    assert set(power_residue_subgroup(ctx7, 3)) == {1, 6}
+    assert set(power_residue_subgroup(ctx11, 5)) == {1, 10}
 
 
 def test_enumeration_cap_leaves_elements_unset(ctx13, monkeypatch):
@@ -65,24 +65,23 @@ def test_subgroup_closure_and_membership(case):
     p, rng = case
     ctx = build_prime_context(p)
     n = rng.choice(odd_divisors(p - 1))
-    for spec in (roots_of_unity_subgroup(ctx, n),
-                 power_residue_subgroup(ctx, n)):
-        elems = spec.elements
-        assert len(elems) == spec.order == len(set(elems))
+    for elems, order in ((roots_of_unity_subgroup(ctx, n), n),
+                         (power_residue_subgroup(ctx, n), (p - 1) // n)):
+        assert len(elems) == order == len(set(elems))
         assert 1 in elems
         sample = rng.sample(elems, min(8, len(elems)))
         for a in sample:
             for b in sample:
                 assert a * b % p in set(elems)
     # -1 always lands in the power-residue subgroup: (p-1)/n is even
-    assert p - 1 in set(power_residue_subgroup(ctx, n).elements)
+    assert p - 1 in set(power_residue_subgroup(ctx, n))
 
 
 def test_power_residue_subgroup_matches_scan():
     for p in (7, 11, 13, 31, 97):
         ctx = build_prime_context(p)
         for n in odd_divisors(p - 1):
-            assert set(power_residue_subgroup(ctx, n).elements) == \
+            assert set(power_residue_subgroup(ctx, n)) == \
                 powers_scan(p, n)
 
 
@@ -289,9 +288,8 @@ def test_sandwich_holds_for_all_small_cases():
 
 def test_kresult_refuses_a_k_outside_the_sandwich():
     # (p, n) = (13, 3): 2 <= k < 13/3
-    def build(k, n=3, upper=Fraction(13, 3)):
-        return KResult(p=13, n=n, k=k, lower=Fraction(2),
-                       upper_exclusive=upper)
+    def build(k, n=3):
+        return KResult(p=13, n=n, k=k)
 
     for k in (1, 5):
         with pytest.raises(InvariantViolation, match="bound violation"):
@@ -299,7 +297,8 @@ def test_kresult_refuses_a_k_outside_the_sandwich():
     for k in (2, 3, 4):
         assert build(k).k == k
     # n = 1: the upper bound degenerates to 0 and is not checked
-    assert build(6, n=1, upper=Fraction(0)).k == 6
+    assert build(6, n=1).k == 6
+    assert build(6, n=1).upper_exclusive == 0
 
 
 @given(case_strategy)
@@ -316,5 +315,5 @@ def test_signed_power_multisets_mirror(case):
 
 def test_cover_index_keys_satisfy_residue_criterion(ctx13):
     subgroup = power_residue_subgroup(ctx13, 3)
-    for m in subgroup.elements:
+    for m in subgroup:
         assert pow(m, (13 - 1) // 3, 13) == 1

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import json
 import math
 import os
 import sys
@@ -8,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from powres import (SIEVE_CAP, EmptyRange, FitResult, ScaleLimit,
+from powres import (SIEVE_CAP, DecompositionResult, EmptyRange,
+                    ExpSumProfile, FitResult, KResult, ScaleLimit,
                     SweepConfig, SweepRecord, enumerate_cases, fit_exponent,
                     modmath, odd_divisors, primes_up_to, read_records,
                     run_case, run_sweep, sweep, write_records)
@@ -16,9 +19,7 @@ from powres.sweep import CSV_COLUMNS
 
 
 def make_record(p, k, n=3):
-    return SweepRecord(p=p, n=n, k=k, lower=Fraction(p - 1, 2 * n),
-                       upper_exclusive=Fraction((n - 1) * p, 2 * n),
-                       normalized=k * 2 * n / (p - 1))
+    return SweepRecord(p=p, n=n, k=k)
 
 
 def test_odd_divisors():
@@ -238,6 +239,8 @@ def test_pool_size_is_bounded_by_primes_and_cpus(monkeypatch):
             return map(fn, iterable)
 
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    # where there is no affinity set, the machine's CPU count bounds the pool
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     serial = run_sweep(SweepConfig(p_min=5, p_max=50))
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     pooled = run_sweep(SweepConfig(p_min=5, p_max=50, workers=100000))
@@ -248,6 +251,21 @@ def test_pool_size_is_bounded_by_primes_and_cpus(monkeypatch):
     strip = lambda recs: [dataclasses.replace(r, elapsed_ms=None)
                           for r in recs]
     assert strip(pooled) == strip(serial)
+
+
+def test_pool_size_is_bounded_by_the_usable_cpus(monkeypatch):
+    # One usable CPU on a machine of many: a pool would only contend for it.
+    def no_pool(max_workers):
+        raise AssertionError(f"pool of {max_workers} started on one CPU")
+    serial = run_sweep(SweepConfig(p_min=5, p_max=50))
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    pinned = run_sweep(SweepConfig(p_min=5, p_max=50, workers=2))
+    strip = lambda recs: [dataclasses.replace(r, elapsed_ms=None)
+                          for r in recs]
+    assert strip(pinned) == strip(serial)
 
 
 def test_fit_exponent_linear():
@@ -323,6 +341,38 @@ def test_round_trip_both_formats(tmp_path, monkeypatch):
         assert parsed == expected
 
 
+def test_read_records_derives_the_bounds_instead_of_reading_them(tmp_path):
+    records = [dataclasses.replace(r, elapsed_ms=None) for r in
+               run_sweep(SweepConfig(p_min=5, p_max=100, with_expsums=True))]
+    edits = {"lower_num": 999, "upper_den": 7, "normalized": 0.5}
+    path = tmp_path / "edited.csv"
+    write_records(records, str(path), "csv")
+    rows = list(csv.DictReader(path.read_text().splitlines()))
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, CSV_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows({**row, **edits} for row in rows)
+    assert read_records(str(path), "csv") == records
+    path = tmp_path / "edited.jsonl"
+    write_records(records, str(path), "jsonl")
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps({**row, **edits}) + "\n"
+                            for row in rows))
+    parsed = read_records(str(path), "jsonl")
+    assert parsed == records
+    assert [r.lower for r in parsed] == [r.lower for r in records]
+
+
+def test_result_types_store_only_what_was_computed():
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+    assert names(KResult) == ["p", "n", "k"]
+    assert names(SweepRecord) == ["p", "n", "k", "max_expsum_ratio",
+                                  "delta_emp", "elapsed_ms", "skip_reason"]
+    assert names(ExpSumProfile) == ["p", "subgroup_order", "coset_values"]
+    assert "reconstruction" not in names(DecompositionResult)
+
+
 def test_timings_round_trip_when_requested(tmp_path):
     records = run_sweep(SweepConfig(p_min=13, p_max=13))
     path = str(tmp_path / "timed.jsonl")
@@ -363,7 +413,7 @@ def test_identical_configs_identical_bytes(tmp_path):
 def test_concurrent_writers_to_one_path_leave_one_whole_file(tmp_path):
     outputs = []
     for i, rows in enumerate((20000, 15000)):
-        records = [make_record(5 + j, 1) for j in range(rows)]
+        records = [make_record(5 + j, 1, n=1) for j in range(rows)]
         write_records(records, str(tmp_path / f"alone{i}.csv"))
         outputs.append((records, (tmp_path / f"alone{i}.csv").read_bytes()))
     target = tmp_path / "shared.csv"
@@ -400,7 +450,7 @@ def test_failed_write_keeps_earlier_file(tmp_path):
                   "jsonl")
     before = path.read_bytes()
     # the second row cannot be serialized, so the write fails partway
-    unwritable = SweepRecord(p=17, n=1, k=8, normalized=1j)
+    unwritable = SweepRecord(p=17, n=1, k=8, max_expsum_ratio=1j)
     good = run_sweep(SweepConfig(p_min=5, p_max=50))
     with pytest.raises(TypeError):
         write_records([good[0], unwritable], str(path), "jsonl")

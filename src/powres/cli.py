@@ -16,11 +16,11 @@ import sys
 from .errors import PowresError, ScaleLimit
 from .expsums import (empirical_delta, expsum_profile,
                       orthogonality_decomposition, phase_table)
-from .modmath import build_prime_context
+from .modmath import build_prime_context, powers
 from .residues import (_require_valid_n, _root_coset, compute_k,
                        principal_nth_root)
-from .sweep import (FORMATS, N_POLICIES, SweepConfig, exact_fields,
-                    fit_exponent, run_sweep, write_records)
+from .sweep import (FORMATS, N_POLICIES, SweepConfig, check_destination,
+                    exact_fields, fit_exponent, run_sweep, write_records)
 
 
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
@@ -82,13 +82,11 @@ def cmd_expsum(args) -> int:
         f"parseval residual = {profile.parseval_residual:.6g}",
     ]
     if args.profile:
-        payload["cosets"] = [
-            {"a": a, "re": s.real, "im": s.imag, "magnitude": abs(s)}
-            for a, s in profile.coset_values
-        ]
+        cosets = list(zip(powers(ctx.g, ctx.p), profile.coset_values))
+        payload["cosets"] = [{"a": a, "re": s.real, "im": s.imag,
+                              "magnitude": abs(s)} for a, s in cosets]
         lines.append("cosets:")
-        lines.extend(f"  a = {a:>8}  |S| = {abs(s):.12g}"
-                     for a, s in profile.coset_values)
+        lines.extend(f"  a = {a:>8}  |S| = {abs(s):.12g}" for a, s in cosets)
     _emit(args, payload, lines)
     return 0
 
@@ -115,12 +113,14 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not args.out:
-        raise ValueError("--out must name a file, got ''")
     config = SweepConfig(p_min=args.p_min, p_max=args.p_max,
                          n_min=args.n_min, epsilon=args.epsilon,
                          n_policy=args.policy, fixed_n=args.fixed_n,
                          with_expsums=args.with_expsums, workers=args.workers)
+    try:
+        check_destination(args.out)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror}")
     records = run_sweep(config)
     try:
         write_records(records, args.out, args.format)

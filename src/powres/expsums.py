@@ -10,8 +10,8 @@ shared by every n, instead of the O(p*|H|) full scan.
 
 Every phase is reduced exactly in integer arithmetic before its single
 trigonometric evaluation: g**j mod p is read off modmath.powers, the walk
-that also lists coset representatives and decomposition frequencies.  Coset
-sums accumulate through math.fsum, so no angle recurrences can drift.
+that also lists decomposition frequencies.  Coset sums accumulate through
+math.fsum, so no angle recurrences can drift.
 """
 
 from __future__ import annotations
@@ -75,23 +75,24 @@ def phase_table(ctx: PrimeContext) -> PhaseTable:
 class ExpSumProfile:
     """Per-coset values of S(a, H); its statistics are derived when read.
 
-    coset_values lists (representative g**i, S) for i = 0..(p-1)/|H| - 1,
-    which by coset constancy covers every a in F_p^*.  max_magnitude is the
-    maximum of |S(a)| over a != 0, and argmax_a the first coset attaining
-    it; for odd |H| the cosets of a and -a hold exact conjugates, so it is
-    the lower of the pair.  parseval_residual is the absolute defect
+    coset_values[i] is S on the coset of g**i, i < (p-1)/|H|, which by coset
+    constancy covers every a in F_p^*.  max_magnitude is max |S(a)| over
+    a != 0; argmax_a, derived when read, is g**i at its first coset i, so
+    for odd |H|, whose cosets of a and -a hold exact conjugates, the lower
+    of the pair.  parseval_residual is the absolute defect
     |sum_{a=0}^{p-1} |S(a)|^2 - p*|H||, where the a = 0 term |H|^2 is
     included even though the maximum excludes it.  max_ratio is
     max|S|/|H|, the quantity the covering bounds are stated in.
     """
 
     p: int
+    g: int
     subgroup_order: int
-    coset_values: tuple[tuple[int, complex], ...]
+    coset_values: tuple[complex, ...]
 
     @cached_property
     def max_magnitude(self) -> float:
-        return max(abs(s) for _, s in self.coset_values)
+        return max(map(abs, self.coset_values))
 
     @property
     def max_ratio(self) -> float:
@@ -99,13 +100,13 @@ class ExpSumProfile:
 
     @property
     def argmax_a(self) -> int:
-        magnitudes = (abs(s) for _, s in self.coset_values)
-        return self.coset_values[indexOf(magnitudes, self.max_magnitude)][0]
+        i = indexOf(map(abs, self.coset_values), self.max_magnitude)
+        return pow(self.g, i, self.p)
 
     @property
     def parseval_residual(self) -> float:
         d = self.subgroup_order
-        squares = fsum(abs(s) ** 2 for _, s in self.coset_values)
+        squares = fsum(abs(s) ** 2 for s in self.coset_values)
         return abs(d * squares + float(d * d) - self.p * d)
 
 
@@ -131,8 +132,7 @@ def expsum_profile(table: PhaseTable, d: int) -> ExpSumProfile:
         sums[i] = s
         if c:
             sums[j] = s.conjugate()
-    return ExpSumProfile(p=p, subgroup_order=d,
-                         coset_values=tuple(zip(powers(g, p), sums)))
+    return ExpSumProfile(p=p, g=g, subgroup_order=d, coset_values=tuple(sums))
 
 
 def empirical_delta(profile: ExpSumProfile) -> float | None:
@@ -249,10 +249,9 @@ def orthogonality_decomposition(ctx: PrimeContext, n: int, m: int,
     _require_enumerable(p - 1, "decomposition sum")
     x0 = principal_nth_root(ctx, n, m)
     coset_values = expsum_profile(phase_table(ctx), n).coset_values
-    real_parts = []
-    imag_parts = []
+    real_parts, imag_parts = [], []
     frequencies = islice(powers(ctx.g, p, pow(x0, -1, p)), p - 1)
-    for r, (_, s_val) in zip(frequencies, cycle(coset_values)):
+    for r, s_val in zip(frequencies, cycle(coset_values)):
         d_val = _dirichlet(p, r, K)
         real_parts.append(s_val.real * d_val)
         imag_parts.append(s_val.imag * d_val)

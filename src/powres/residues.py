@@ -9,6 +9,7 @@ single magnitude x cover a symmetric pair of residues.
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
@@ -194,13 +195,6 @@ def _least_factors(size: int) -> list[int]:
     return table
 
 
-class _SparseMarks(dict):
-    """Marks keyed by residue; an unmarked residue reads 0, as in a bytearray."""
-
-    def __missing__(self, key: int) -> int:
-        return 0
-
-
 def compute_k(ctx: PrimeContext, n: int) -> KResult:
     """Least k whose signed n-th powers cover every n-th power residue.
 
@@ -225,7 +219,7 @@ def compute_k(ctx: PrimeContext, n: int) -> KResult:
     _require_enumerable(size, "residue subgroup")
     stop = 2 * size
     h = p // 2
-    marks = bytearray(h + 1) if n <= 32 else _SparseMarks()
+    marks = bytearray(h + 1) if n <= 32 else defaultdict(int)
     unmarked = size // 2
     stored = [0]
     x = 0

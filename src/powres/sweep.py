@@ -14,6 +14,7 @@ byte-identical for any worker count.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from statistics import StatisticsError, linear_regression
+from tempfile import TemporaryFile
 
 from .errors import EmptyRange, InvariantViolation, ScaleLimit
 from .expsums import PhaseTable, empirical_delta, expsum_profile, phase_table
@@ -40,7 +42,6 @@ CSV_COLUMNS = ("p", "n", "k", "lower_num", "lower_den", "upper_num",
                "upper_den", "normalized", "max_expsum_ratio", "delta_emp",
                "elapsed_ms")
 
-# Paths that name an already open descriptor of this process.
 _FD_PATH = re.compile(r"/(?:dev|proc/self)/fd/(\d+)")
 _STD_PATHS = {"/dev/stdout": 1, "/dev/stderr": 2}
 
@@ -303,6 +304,25 @@ def _write_rows(fh, records: list[SweepRecord], fmt: str,
             fh.write(json.dumps(obj) + "\n")
 
 
+def _descriptor(path: str) -> int | None:
+    """The descriptor path names (/dev/stdout, /dev/fd/N, ...) or None."""
+    where = os.path.abspath(path)
+    named = _FD_PATH.fullmatch(where)
+    return int(named[1]) if named else _STD_PATHS.get(where)
+
+
+def check_destination(path: str) -> None:
+    """Raise, before a sweep runs, the OSError that writing to path would
+    meet; a device or FIFO is not opened, as a FIFO waits for a reader."""
+    fd = _descriptor(path)
+    if fd is not None:
+        os.fstat(fd)
+    elif os.path.isdir(path or "."):  # an empty path is the working directory
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    elif os.path.isfile(path) or not os.path.exists(path):
+        TemporaryFile(dir=os.path.dirname(os.path.realpath(path))).close()
+
+
 def write_records(records: list[SweepRecord], path: str, fmt: str = "csv", *,
                   with_timings: bool = False) -> None:
     """Persist records as CSV or JSONL (UTF-8, LF line endings).
@@ -327,9 +347,7 @@ def write_records(records: list[SweepRecord], path: str, fmt: str = "csv", *,
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
     if not path:
         raise ValueError(f"path must name a file, got {path!r}")
-    where = os.path.abspath(path)
-    named = _FD_PATH.fullmatch(where)
-    fd = int(named[1]) if named else _STD_PATHS.get(where)
+    fd = _descriptor(path)
     if fd is not None or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path if fd is None else os.dup(fd), "w", encoding="utf-8",
                   newline="") as fh:
@@ -351,19 +369,14 @@ def _record_from_fields(values: dict[str, object]) -> SweepRecord:
     """The stored fields of one row; the derived columns are not read."""
     def _get(key: str, cast):
         v = values.get(key)
-        if v is None or v == "":
-            return None
-        return cast(v)
+        return None if v is None or v == "" else cast(v)
 
     return SweepRecord(
-        p=int(values["p"]),
-        n=int(values["n"]),
-        k=_get("k", int),
+        p=int(values["p"]), n=int(values["n"]), k=_get("k", int),
         max_expsum_ratio=_get("max_expsum_ratio", float),
         delta_emp=_get("delta_emp", float),
         elapsed_ms=_get("elapsed_ms", int),
-        skip_reason=_get("skip_reason", str),
-    )
+        skip_reason=_get("skip_reason", str))
 
 
 def read_records(path: str, fmt: str = "csv") -> list[SweepRecord]:
@@ -371,13 +384,7 @@ def read_records(path: str, fmt: str = "csv") -> list[SweepRecord]:
     and normalized columns are not read, as each record derives them."""
     if fmt not in FORMATS:
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
-    records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        if fmt == "csv":
-            for row in csv.DictReader(fh):
-                records.append(_record_from_fields(row))
-        else:
-            for line in fh:
-                if line.strip():
-                    records.append(_record_from_fields(json.loads(line)))
-    return records
+        rows = (csv.DictReader(fh) if fmt == "csv"
+                else (json.loads(line) for line in fh if line.strip()))
+        return [_record_from_fields(row) for row in rows]

@@ -286,6 +286,22 @@ def test_sweep_unusable_out_is_usage_error_naming_the_path(tmp_path):
     assert list(tmp_path.rglob("*")) == [cwd]
 
 
+def test_sweep_refuses_unusable_out_before_running(tmp_path, monkeypatch,
+                                                  capsys):
+    calls = []
+    monkeypatch.setattr(cli, "run_sweep", lambda config: calls.append(config))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    os.close(write_end)  # a descriptor this process has just closed
+    for out in (str(tmp_path / "missing" / "x.csv"), str(tmp_path),
+                f"/dev/fd/{write_end}", ""):
+        assert main(["sweep", "--p-max", "50", "--out", out]) == 2, out
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write --out {out}: "), err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_reports_skips_without_failing(tmp_path):
     out = str(tmp_path / "capped.jsonl")
     proc = run_cli("sweep", "--p-max", "30", "--out", out, "--format",

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from math import fsum
 
 import pytest
@@ -14,6 +15,7 @@ from powres import (BadN, BadRadius, NotEnumerated, NotResidue, ScaleLimit,
                     orthogonality_decomposition, phase_table,
                     power_residue_subgroup, primes_up_to,
                     roots_of_unity_subgroup, subgroup_expsum)
+from powres.modmath import powers
 from powres.residues import _subgroup_of_order
 
 PRIMES_SMALL = [p for p in primes_up_to(499) if p >= 5]
@@ -92,12 +94,12 @@ def test_phase_table_profile_matches_direct_sums():
             assert H == tuple(pow(ctx.g, j * (p - 1) // d, p)
                               for j in range(d))
             profile = expsum_profile(table, d)
-            reps = [a for a, _ in profile.coset_values]
-            assert reps == [pow(ctx.g, i, p) for i in range((p - 1) // d)]
-            first = [abs(s) for _, s in profile.coset_values].index(
-                profile.max_magnitude)
+            values = profile.coset_values
+            assert len(values) == (p - 1) // d
+            assert all(type(s) is complex for s in values), (p, d)
+            first = [abs(s) for s in values].index(profile.max_magnitude)
             assert profile.argmax_a == pow(ctx.g, first, p)
-            for a, s in profile.coset_values:
+            for a, s in zip(powers(ctx.g, p), values):
                 assert abs(s - subgroup_expsum(p, H, a)) < 1e-10 * d, (p, d, a)
 
 
@@ -107,7 +109,7 @@ def test_phase_table_conjugate_cosets_are_exact():
         h = (p - 1) // 2
         for d in all_divisors(p - 1):
             profile = expsum_profile(table, d)
-            values = [s for _, s in profile.coset_values]
+            values = profile.coset_values
             m = len(values)
             if d % 2:
                 # coset (i + h) % m holds -g**i: S(-a) = conj(S(a)) exactly
@@ -116,9 +118,23 @@ def test_phase_table_conjugate_cosets_are_exact():
                 # argmax_a is the first maximum, the lower coset of its pair
                 first = min(i for i in range(m)
                             if abs(values[i]) == profile.max_magnitude)
-                assert profile.argmax_a == profile.coset_values[first][0]
+                assert profile.argmax_a == pow(table.g, first, p)
             else:
                 assert all(s.imag == 0.0 for s in values), (p, d)
+
+
+def test_profile_holds_one_complex_per_coset():
+    # about 48 B per coset: one tuple slot and one complex
+    p = 100003
+    table = phase_table(build_prime_context(p))
+    tracemalloc.start()
+    try:
+        profile = expsum_profile(table, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(profile.coset_values) == (p - 1) // 3
+    assert peak < 64 * (p - 1) // 3, peak
 
 
 def test_phase_table_cap_and_bad_order(ctx13, monkeypatch):
@@ -138,7 +154,7 @@ def test_profile_covers_every_unit_value(ctx13):
     H = roots_of_unity_subgroup(ctx13, 3)
     profile = expsum_profile(phase_table(ctx13), 3)
     by_coset = {}
-    for a, s in profile.coset_values:
+    for a, s in zip(powers(ctx13.g, 13), profile.coset_values):
         for h in H:
             by_coset[a * h % 13] = s
     assert set(by_coset) == set(range(1, 13))
@@ -210,8 +226,8 @@ def test_empirical_delta_synthetic_inversion():
     p, d = 1009, 7
     for delta in (0.0, 0.1, 0.25):
         value = complex(d * p**(-3 * delta))
-        profile = ExpSumProfile(p=p, subgroup_order=d,
-                                coset_values=((1, value),))
+        profile = ExpSumProfile(p=p, g=11, subgroup_order=d,
+                                coset_values=(value,))
         assert abs(empirical_delta(profile) - delta) < 1e-12
 
 

@@ -57,8 +57,7 @@ check("log_k", lambda: sweep.SweepRecord(p=13, n=3, k=None).log_k)
 # imaginary residue: purely imaginary subgroup sums cannot cancel
 real_profile = expsums.expsum_profile
 expsums.expsum_profile = lambda table, d: dataclasses.replace(
-    real_profile(table, d),
-    coset_values=tuple((a, 1j) for a, _ in real_profile(table, d).coset_values))
+    real_profile(table, d), coset_values=(1j,) * ((table.p - 1) // d))
 check("imaginary_residue", lambda: orthogonality_decomposition(ctx, 3, 8, 6))
 expsums.expsum_profile = real_profile
 

@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -207,12 +208,12 @@ def test_compute_k_matches_direct_scan_on_every_odd_n():
 def test_compute_k_both_mark_containers(monkeypatch):
     sparse = []
 
-    class CountedMarks(residues._SparseMarks):
-        def __init__(self):
+    class CountedMarks(defaultdict):
+        def __init__(self, default):
             sparse.append(1)
-            super().__init__()
+            super().__init__(default)
 
-    monkeypatch.setattr(residues, "_SparseMarks", CountedMarks)
+    monkeypatch.setattr(residues, "defaultdict", CountedMarks)
     # n <= 32 marks a bytearray, n > 32 a dict
     for p, n, is_sparse in ((67, 33, True), (199, 33, True), (311, 31, False),
                             (311, 155, True)):

@@ -369,7 +369,8 @@ def test_result_types_store_only_what_was_computed():
     assert names(KResult) == ["p", "n", "k"]
     assert names(SweepRecord) == ["p", "n", "k", "max_expsum_ratio",
                                   "delta_emp", "elapsed_ms", "skip_reason"]
-    assert names(ExpSumProfile) == ["p", "subgroup_order", "coset_values"]
+    assert names(ExpSumProfile) == ["p", "g", "subgroup_order",
+                                    "coset_values"]
     assert "reconstruction" not in names(DecompositionResult)
 
 

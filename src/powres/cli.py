@@ -81,12 +81,15 @@ def cmd_expsum(args) -> int:
         f"delta_emp = {'n/a' if delta is None else format(delta, '.12g')}",
         f"parseval residual = {profile.parseval_residual:.6g}",
     ]
-    if args.profile:
-        cosets = list(zip(powers(ctx.g, ctx.p), profile.coset_values))
-        payload["cosets"] = [{"a": a, "re": s.real, "im": s.imag,
-                              "magnitude": abs(s)} for a, s in cosets]
-        lines.append("cosets:")
-        lines.extend(f"  a = {a:>8}  |S| = {abs(s):.12g}" for a, s in cosets)
+    if args.profile:  # render the cosets only in the form _emit prints
+        cosets = zip(powers(ctx.g, ctx.p), profile.coset_values)
+        if args.json:
+            payload["cosets"] = [{"a": a, "re": s.real, "im": s.imag,
+                                  "magnitude": abs(s)} for a, s in cosets]
+        else:
+            lines.append("cosets:")
+            lines.extend(f"  a = {a:>8}  |S| = {abs(s):.12g}"
+                         for a, s in cosets)
     _emit(args, payload, lines)
     return 0
 

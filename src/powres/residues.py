@@ -81,40 +81,65 @@ def is_nth_residue(ctx: PrimeContext, n: int, m: int) -> bool:
     return pow(m, (ctx.p - 1) // n, ctx.p) == 1
 
 
-def _bsgs_log(ctx: PrimeContext, target: int) -> int:
-    """Discrete log of target to base ctx.g via baby-step giant-step.
+def _pohlig_hellman_log(ctx: PrimeContext, target: int) -> int:
+    """The t in [0, p - 1) with g**t == target mod p, g = ctx.g, by
+    Pohlig-Hellman over ctx.factors.
+
+    For each q**e exactly dividing p - 1, t mod q**e is found one base-q
+    digit at a time: digit k solves gamma**d == (target * g**-x)**((p-1) /
+    q**(k+1)), x = t mod q**k, by baby-step giant-step in the order-q
+    subgroup of gamma = g**((p-1)/q).  Its table of isqrt(q - 1) + 1 entries
+    is built once per q and serves all e digits; the values mod q**e are
+    joined by CRT.  t is checked against pow(g, t, p) before it is returned,
+    so a false g or factor list raises InvariantViolation, not a wrong t.
 
     Loops kept inline: via modmath.powers, giant steps ran slower at 2**33+17.
     """
     p, g = ctx.p, ctx.g
-    m = isqrt(p - 2) + 1
-    table: dict[int, int] = {}
-    cur = 1
-    for j in range(m):
-        table[cur] = j
-        cur = cur * g % p
-    giant = pow(g, p - 1 - m, p)
-    cur = target
-    for i in range(m):
-        j = table.get(cur)
-        if j is not None:
-            return i * m + j
-        cur = cur * giant % p
-    raise InvariantViolation(f"no discrete log of {target} to base {g}")
+    t, mod = 0, 1
+    for q, e in ctx.factors:
+        gamma = pow(g, (p - 1) // q, p)
+        steps = isqrt(q - 1) + 1
+        table: dict[int, int] = {}
+        cur = 1
+        for j in range(steps):
+            table[cur] = j
+            cur = cur * gamma % p
+        giant = pow(gamma, q - steps, p)
+        x, qk = 0, 1
+        for _ in range(e):
+            cur = pow(target * pow(g, -x, p), (p - 1) // (qk * q), p)
+            for i in range(steps):
+                j = table.get(cur)
+                if j is not None:
+                    break
+                cur = cur * giant % p
+            else:
+                raise InvariantViolation(
+                    f"no discrete log of {target} to base {g}")
+            x += (i * steps + j) * qk
+            qk *= q
+        t += mod * ((x - t) * pow(mod, -1, qk) % qk)
+        mod *= qk
+    if pow(g, t, p) != target:
+        raise InvariantViolation(
+            f"discrete log {t} of {target} to base {g} does not check")
+    return t
 
 
 def principal_nth_root(ctx: PrimeContext, n: int, m: int) -> int:
     """One solution x0 of x**n == m mod p, chosen canonically.
 
-    With m = g**t (t found by baby-step giant-step), n divides t and
-    x0 = g**(t/n).  The baby-step table has isqrt(p - 2) + 1 entries; a
-    table above the enumeration cap is refused rather than falling back
-    to probabilistic root extraction.
+    With m = g**t (t found by Pohlig-Hellman), n divides t and
+    x0 = g**(t/n).  The largest baby-step table has isqrt(q - 1) + 1
+    entries for the largest prime q | p - 1; a table above the enumeration
+    cap is refused before any is built, rather than falling back to
+    probabilistic root extraction.
     """
     if not is_nth_residue(ctx, n, m):
         raise NotResidue(f"{m} is not an n-th power residue mod {ctx.p}")
-    _require_enumerable(isqrt(ctx.p - 2) + 1, "baby-step table")
-    t = _bsgs_log(ctx, m % ctx.p)
+    _require_enumerable(isqrt(ctx.factors[-1][0] - 1) + 1, "baby-step table")
+    t = _pohlig_hellman_log(ctx, m % ctx.p)
     if t % n != 0:
         raise InvariantViolation(
             f"log of a residue is not divisible by n = {n} (t = {t})")

@@ -138,8 +138,19 @@ def test_roots_not_residue_exit_1():
 
 
 def test_roots_bsgs_cap_exit_3():
-    proc = run_cli("roots", "13", "3", "8", env_extra={"POWRES_ENUM_CAP": "3"})
+    # 23 - 1 = 2 * 11: the order-11 baby-step table holds 4 entries
+    proc = run_cli("roots", "23", "1", "5", env_extra={"POWRES_ENUM_CAP": "3"})
     assert proc.returncode == 3
+
+
+def test_roots_at_a_prime_whose_full_group_table_is_over_the_cap():
+    # p = 2**61 - 1: the largest prime factor of p - 1 is 1321
+    p = 2**61 - 1
+    proc = run_cli("roots", str(p), "3", "8", "--json")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert len(doc["roots"]) == 3
+    assert all(pow(x, 3, p) == 8 for x in doc["roots"])
 
 
 def test_expsum_summary_and_profile():
@@ -167,7 +178,7 @@ def test_expsum_cap_exit_3():
     proc = run_cli("expsum", "13", "3", env_extra={"POWRES_ENUM_CAP": "2"})
     assert proc.returncode == 3
     assert proc.stdout == ""
-    # 5003 roots, above the cap, though the 101-entry BSGS table fits it
+    # 5003 roots, above the cap, though the 71-entry baby-step table fits
     proc = run_cli("roots", "10007", "5003", "1",
                    env_extra={"POWRES_ENUM_CAP": "1000"})
     assert proc.returncode == 3

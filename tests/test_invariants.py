@@ -31,10 +31,10 @@ def check(name, call):
 ctx = build_prime_context(13)
 
 # n | t: a discrete log that n does not divide
-real_log = residues._bsgs_log
-residues._bsgs_log = lambda ctx, target: 1
+real_log = residues._pohlig_hellman_log
+residues._pohlig_hellman_log = lambda ctx, target: 1
 check("n_divides_t", lambda: principal_nth_root(ctx, 3, 8))
-residues._bsgs_log = real_log
+residues._pohlig_hellman_log = real_log
 
 # root count: 12 has order 2 mod 13, so its "n-th roots of unity" collapse
 fake = PrimeContext(13)

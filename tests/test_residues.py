@@ -1,6 +1,7 @@
 import random
 from collections import defaultdict
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from powres import (BadN, BadResidue, InvariantViolation, KResult,
                     power_residue_subgroup, primes_up_to, principal_nth_root,
                     roots_of_unity_subgroup)
 from powres import residues
-from powres.residues import _root_coset
+from powres.residues import _pohlig_hellman_log, _root_coset
 
 PRIMES_2000 = [p for p in primes_up_to(1999) if p >= 5]
 
@@ -110,13 +111,84 @@ def test_principal_root_is_canonical(ctx13):
     assert pow(x0, 3, 13) == 8
 
 
-def test_bsgs_cap_rejects_large_moduli(ctx13, monkeypatch):
+def test_bsgs_cap_rejects_large_moduli(monkeypatch):
+    # 23 - 1 = 2 * 11: the order-11 table holds isqrt(10) + 1 = 4 entries
+    ctx23 = build_prime_context(23)
+    logs = []
+    monkeypatch.setattr(residues, "_pohlig_hellman_log",
+                        lambda ctx, target: logs.append(target))
     monkeypatch.setenv("POWRES_ENUM_CAP", "3")
     with pytest.raises(ScaleLimit):
-        nth_root_solutions(ctx13, 3, 8)
+        nth_root_solutions(ctx23, 1, 5)
     monkeypatch.setenv("POWRES_ENUM_CAP", "2")
     with pytest.raises(NotEnumerated):
-        nth_root_solutions(ctx13, 3, 1)
+        nth_root_solutions(ctx23, 1, 1)
+    assert logs == []  # refused before any table was built
+
+
+def bsgs_log(p, g, target):
+    """Oracle: baby-step giant-step over all of F_p^*, one table of
+    isqrt(p - 2) + 1 entries; the t in [0, p - 1) with g**t == target."""
+    m = isqrt(p - 2) + 1
+    table = {}
+    cur = 1
+    for j in range(m):
+        table[cur] = j
+        cur = cur * g % p
+    giant = pow(g, p - 1 - m, p)
+    cur = target
+    for i in range(m):
+        j = table.get(cur)
+        if j is not None:
+            return i * m + j
+        cur = cur * giant % p
+    raise AssertionError(f"no discrete log of {target} to base {g}")
+
+
+def test_log_matches_full_group_bsgs_on_every_small_unit():
+    for p in [q for q in primes_up_to(500) if q >= 5]:
+        ctx = build_prime_context(p)
+        for m in range(1, p):
+            assert _pohlig_hellman_log(ctx, m) == bsgs_log(p, ctx.g, m), (p, m)
+
+
+def test_log_matches_full_group_bsgs_on_hard_cases():
+    rng = random.Random(14)
+    cases = (
+        1019, 10007, 1073742623, 1073743739,  # safe primes p = 2q + 1
+        65537,  # p - 1 = 2**16: sixteen digits of one base-2 log
+        1459, 1002247,  # p - 1 = 2 * 3**6 and 2 * 3 * 7**3 * 487
+    )
+    for p in cases:
+        ctx = build_prime_context(p)
+        targets = [1, p - 1, ctx.g, pow(ctx.g, -1, p)]
+        targets += [rng.randrange(1, p) for _ in range(20)]
+        for m in targets:
+            assert _pohlig_hellman_log(ctx, m) == bsgs_log(p, ctx.g, m), (p, m)
+
+
+def test_log_at_a_mersenne_prime_beyond_full_group_bsgs():
+    # 2**61 - 2 = 2 * 3**2 * 5**2 * 7 * 11 * 13 * 31 * 41 * 61 * 151 * 331
+    # * 1321: a full-group table would hold 1518500250 entries
+    p = 2**61 - 1
+    ctx = build_prime_context(p)
+    assert ctx.factors[-1] == (1321, 1)
+    rng = random.Random(61)
+    for _ in range(20):
+        m = rng.randrange(1, p)
+        t = _pohlig_hellman_log(ctx, m)
+        assert 0 <= t < p - 1 and pow(ctx.g, t, p) == m
+        s = rng.randrange(p - 1)
+        assert _pohlig_hellman_log(ctx, pow(ctx.g, s, p)) == s
+
+
+def test_log_refuses_an_answer_that_does_not_check():
+    # a factor list without 3 gives t mod 4 only: 1 for 6 = 2**5 mod 13
+    fake = PrimeContext(13)
+    fake.__dict__["factors"] = ((2, 2),)
+    assert fake.g == 2
+    with pytest.raises(InvariantViolation, match="does not check"):
+        _pohlig_hellman_log(fake, 6)
 
 
 def test_root_count_invariant_fires_on_a_false_primitive_root(ctx13):

@@ -1,4 +1,5 @@
-"""sympy as an independent oracle for factoring, primitive roots and roots."""
+"""sympy as an independent oracle for factoring, primitive roots, discrete
+logs and roots."""
 
 import random
 
@@ -6,9 +7,11 @@ import pytest
 
 from powres import (build_prime_context, factorize, nth_root_solutions,
                     odd_divisors, primes_up_to)
+from powres.residues import _pohlig_hellman_log
 
 sympy = pytest.importorskip("sympy")
-from sympy.ntheory import factorint, nthroot_mod, primitive_root  # noqa: E402
+from sympy.ntheory import (discrete_log, factorint,  # noqa: E402
+                           nthroot_mod, primitive_root)
 
 PRIMES = [p for p in primes_up_to(3000) if p >= 5]
 
@@ -38,3 +41,14 @@ def test_root_sets_match_nthroot_mod():
             m = pow(rng.randrange(1, p), n, p)
             expected = set(nthroot_mod(m, n, p, all_roots=True))
             assert nth_root_solutions(ctx, n, m) == expected, (p, n, m)
+
+
+def test_discrete_log_matches_sympy():
+    rng = random.Random(11)
+    # every p < 3000, a safe prime, p - 1 = 2**16, 2 * 3 * 7**3 * 487, and
+    # 2**61 - 1, whose p - 1 has largest prime factor 1321
+    for p in PRIMES + [1073742623, 65537, 1002247, 2**61 - 1]:
+        ctx = build_prime_context(p)
+        for m in (1, p - 1, rng.randrange(1, p)):
+            assert _pohlig_hellman_log(ctx, m) == \
+                discrete_log(p, m, ctx.g), (p, m)

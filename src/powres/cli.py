@@ -133,7 +133,7 @@ def cmd_sweep(args) -> int:
     skipped = len(records) - len(completed)
     fit = fit_exponent(records)
     slope, r2 = (None, None) if fit is None else (fit.slope, fit.r_squared)
-    norms = [r.normalized for r in completed if r.normalized is not None]
+    norms = [r.normalized for r in completed]
     payload = {
         "cases": len(records), "completed": len(completed),
         "skipped": skipped, "slope": slope, "r_squared": r2,
@@ -162,8 +162,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = SweepConfig(p_min=5, p_max=args.p_max, n_min=3, epsilon=0.0,
-                         n_policy="all_odd_divisors")
+    config = SweepConfig(p_min=5, p_max=args.p_max)
     records = run_sweep(config)
     for r in records:
         if r.k is None:

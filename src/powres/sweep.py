@@ -20,7 +20,6 @@ import math
 import os
 import re
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,7 +96,6 @@ class SweepRecord:
     k: int | None
     max_expsum_ratio: float | None = None
     delta_emp: float | None = None
-    elapsed_ms: int | None = None
     skip_reason: str | None = None
 
     @property
@@ -182,25 +180,21 @@ def enumerate_cases(config: SweepConfig) -> list[tuple[int, int]]:
 
 def _case_record(ctx: PrimeContext, n: int,
                  table: PhaseTable | None) -> SweepRecord:
-    """One case of an already built prime; elapsed_ms excludes the context
-    and the phase table, which every case of the prime shares.  Without a
-    table the expsum fields stay None."""
+    """One case of an already built prime, whose context and phase table
+    every case of the prime shares.  Without a table the expsum fields
+    stay None."""
     p = ctx.p
-    start = time.perf_counter()
     try:
         result = compute_k(ctx, n)
     except ScaleLimit as exc:
-        elapsed = int(round((time.perf_counter() - start) * 1000))
-        return SweepRecord(p=p, n=n, k=None, elapsed_ms=elapsed,
-                           skip_reason=str(exc))
+        return SweepRecord(p=p, n=n, k=None, skip_reason=str(exc))
     max_ratio = delta = None
     if table is not None:
         profile = expsum_profile(table, n)
         max_ratio = profile.max_ratio
         delta = empirical_delta(profile)
-    elapsed = int(round((time.perf_counter() - start) * 1000))
     return SweepRecord(p=p, n=n, k=result.k, max_expsum_ratio=max_ratio,
-                       delta_emp=delta, elapsed_ms=elapsed)
+                       delta_emp=delta)
 
 
 def _prime_records(ctx: PrimeContext, ns: list[int],
@@ -281,25 +275,23 @@ def exact_fields(rec: SweepRecord | KResult) -> dict[str, int | None]:
     return dict(zip(CSV_COLUMNS, cells))
 
 
-def _field_values(rec: SweepRecord, with_timings: bool) -> dict[str, object]:
+def _field_values(rec: SweepRecord) -> dict[str, object]:
     return {**exact_fields(rec), "normalized": rec.normalized,
             "max_expsum_ratio": rec.max_expsum_ratio,
-            "delta_emp": rec.delta_emp,
-            "elapsed_ms": rec.elapsed_ms if with_timings else None}
+            "delta_emp": rec.delta_emp, "elapsed_ms": None}
 
 
-def _write_rows(fh, records: list[SweepRecord], fmt: str,
-                with_timings: bool) -> None:
+def _write_rows(fh, records: list[SweepRecord], fmt: str) -> None:
     if fmt == "csv":
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            values = _field_values(rec, with_timings)
+            values = _field_values(rec)
             writer.writerow(["" if values[c] is None else values[c]
                              for c in CSV_COLUMNS])
     else:
         for rec in records:
-            obj = _field_values(rec, with_timings)
+            obj = _field_values(rec)
             obj["skip_reason"] = rec.skip_reason
             fh.write(json.dumps(obj) + "\n")
 
@@ -323,15 +315,14 @@ def check_destination(path: str) -> None:
         TemporaryFile(dir=os.path.dirname(os.path.realpath(path))).close()
 
 
-def write_records(records: list[SweepRecord], path: str, fmt: str = "csv", *,
-                  with_timings: bool = False) -> None:
+def write_records(records: list[SweepRecord], path: str,
+                  fmt: str = "csv") -> None:
     """Persist records as CSV or JSONL (UTF-8, LF line endings).
 
-    Absent optionals serialize as empty CSV cells / JSON nulls.  Wall-clock
-    timings are volatile, so by default elapsed_ms is written empty to keep
-    identical sweeps byte-identical on disk; pass with_timings=True for
-    profiling dumps.  JSONL rows carry an extra skip_reason key (null for
-    completed cases) that CSV omits.
+    Absent optionals serialize as empty CSV cells / JSON nulls.  The last
+    column, a per-case timing slot that nothing fills, is always empty; it
+    keeps the layout fixed.  JSONL rows carry an extra skip_reason key
+    (null for completed cases) that CSV omits.
 
     A regular file is written to a temporary file beside it, one per
     thread, which then replaces it in one step: a write that fails or is
@@ -351,13 +342,13 @@ def write_records(records: list[SweepRecord], path: str, fmt: str = "csv", *,
     if fd is not None or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path if fd is None else os.dup(fd), "w", encoding="utf-8",
                   newline="") as fh:
-            _write_rows(fh, records, fmt, with_timings)
+            _write_rows(fh, records, fmt)
         return
     target = os.path.realpath(path)
     tmp = f"{target}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            _write_rows(fh, records, fmt, with_timings)
+            _write_rows(fh, records, fmt)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -375,13 +366,13 @@ def _record_from_fields(values: dict[str, object]) -> SweepRecord:
         p=int(values["p"]), n=int(values["n"]), k=_get("k", int),
         max_expsum_ratio=_get("max_expsum_ratio", float),
         delta_emp=_get("delta_emp", float),
-        elapsed_ms=_get("elapsed_ms", int),
         skip_reason=_get("skip_reason", str))
 
 
 def read_records(path: str, fmt: str = "csv") -> list[SweepRecord]:
     """Parse a file produced by write_records back into records; the bound
-    and normalized columns are not read, as each record derives them."""
+    and normalized columns are not read, as each record derives them, and
+    a timing cell is ignored even when it is filled."""
     if fmt not in FORMATS:
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
     with open(path, "r", encoding="utf-8", newline="") as fh:

@@ -34,6 +34,13 @@ def test_runner_api_exists():
     fields = {f.name for f in dataclasses.fields(powres.SweepConfig)}
     for workload in workloads.WORKLOADS.values():
         assert set(workload.sweep) <= fields, workload.sweep
+    # run.py writes a sweep as write_records(records, csv_path)
+    inspect.signature(powres.write_records).bind([], "x")
+    # check.py reads these attributes of every sweep record
+    record = powres.run_case(13, 3)
+    for attr in ("k", "skip_reason", "lower", "upper_exclusive",
+                 "normalized", "max_expsum_ratio", "delta_emp"):
+        assert hasattr(record, attr), attr
 
 
 def test_cli_reads_compute_k_through_its_own_namespace(monkeypatch, capsys):

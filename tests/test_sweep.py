@@ -15,7 +15,7 @@ from powres import (SIEVE_CAP, DecompositionResult, EmptyRange,
                     SweepConfig, SweepRecord, enumerate_cases, fit_exponent,
                     modmath, odd_divisors, primes_up_to, read_records,
                     run_case, run_sweep, sweep, write_records)
-from powres.sweep import CSV_COLUMNS
+from powres.sweep import CSV_COLUMNS, FORMATS
 
 
 def make_record(p, k, n=3):
@@ -129,18 +129,14 @@ def test_run_case_expsum_statistics():
 def test_worker_counts_agree_in_memory():
     cfg1 = SweepConfig(p_min=5, p_max=300, with_expsums=True, workers=1)
     cfg3 = SweepConfig(p_min=5, p_max=300, with_expsums=True, workers=3)
-    strip = lambda recs: [dataclasses.replace(r, elapsed_ms=None)
-                          for r in recs]
-    assert strip(run_sweep(cfg1)) == strip(run_sweep(cfg3))
+    assert run_sweep(cfg1) == run_sweep(cfg3)
 
 
 def test_pool_workers_see_the_environment_cap(monkeypatch):
     monkeypatch.setenv("POWRES_ENUM_CAP", "2")
     runs = [run_sweep(SweepConfig(p_min=5, p_max=200, workers=workers))
             for workers in (1, 2)]
-    strip = lambda recs: [dataclasses.replace(r, elapsed_ms=None)
-                          for r in recs]
-    assert strip(runs[0]) == strip(runs[1])
+    assert runs[0] == runs[1]
     assert any(r.k is None for r in runs[0])
     assert any(r.k is not None for r in runs[0])
 
@@ -248,9 +244,7 @@ def test_pool_size_is_bounded_by_primes_and_cpus(monkeypatch):
     run_sweep(SweepConfig(p_min=5, p_max=20, workers=100000))  # 6 primes
     run_sweep(SweepConfig(p_min=5, p_max=50, workers=3))
     assert sizes == [4, 6, 3]
-    strip = lambda recs: [dataclasses.replace(r, elapsed_ms=None)
-                          for r in recs]
-    assert strip(pooled) == strip(serial)
+    assert pooled == serial
 
 
 def test_pool_size_is_bounded_by_the_usable_cpus(monkeypatch):
@@ -263,9 +257,7 @@ def test_pool_size_is_bounded_by_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
     pinned = run_sweep(SweepConfig(p_min=5, p_max=50, workers=2))
-    strip = lambda recs: [dataclasses.replace(r, elapsed_ms=None)
-                          for r in recs]
-    assert strip(pinned) == strip(serial)
+    assert pinned == serial
 
 
 def test_fit_exponent_linear():
@@ -334,16 +326,15 @@ def test_round_trip_both_formats(tmp_path, monkeypatch):
         path = str(tmp_path / f"records.{fmt}")
         write_records(records, path, fmt)
         parsed = read_records(path, fmt)
-        expected = [dataclasses.replace(r, elapsed_ms=None) for r in records]
+        expected = records
         if fmt == "csv":  # reason column is JSONL-only
             expected = [dataclasses.replace(r, skip_reason=None)
-                        for r in expected]
+                        for r in records]
         assert parsed == expected
 
 
 def test_read_records_derives_the_bounds_instead_of_reading_them(tmp_path):
-    records = [dataclasses.replace(r, elapsed_ms=None) for r in
-               run_sweep(SweepConfig(p_min=5, p_max=100, with_expsums=True))]
+    records = run_sweep(SweepConfig(p_min=5, p_max=100, with_expsums=True))
     edits = {"lower_num": 999, "upper_den": 7, "normalized": 0.5}
     path = tmp_path / "edited.csv"
     write_records(records, str(path), "csv")
@@ -368,19 +359,37 @@ def test_result_types_store_only_what_was_computed():
         return [f.name for f in dataclasses.fields(cls)]
     assert names(KResult) == ["p", "n", "k"]
     assert names(SweepRecord) == ["p", "n", "k", "max_expsum_ratio",
-                                  "delta_emp", "elapsed_ms", "skip_reason"]
+                                  "delta_emp", "skip_reason"]
     assert names(ExpSumProfile) == ["p", "g", "subgroup_order",
                                     "coset_values"]
     assert "reconstruction" not in names(DecompositionResult)
 
 
-def test_timings_round_trip_when_requested(tmp_path):
-    records = run_sweep(SweepConfig(p_min=13, p_max=13))
-    path = str(tmp_path / "timed.jsonl")
-    write_records(records, path, "jsonl", with_timings=True)
-    parsed = read_records(path, "jsonl")
-    assert parsed[0].elapsed_ms == records[0].elapsed_ms
-    assert parsed[0].elapsed_ms is not None
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_read_records_ignores_filled_timing_cells(tmp_path, monkeypatch, fmt):
+    # Earlier versions could fill the elapsed_ms column with whole-millisecond
+    # timings; such files read back as the same records as with it empty.
+    records = run_sweep(SweepConfig(p_min=5, p_max=100, with_expsums=True))
+    monkeypatch.setenv("POWRES_ENUM_CAP", "2")
+    records += run_sweep(SweepConfig(p_min=13, p_max=13))
+    assert records[-1].skip_reason is not None
+    empty, timed = tmp_path / f"empty.{fmt}", tmp_path / f"timed.{fmt}"
+    write_records(records, str(empty), fmt)
+    with pytest.raises(TypeError):
+        write_records(records, str(timed), fmt, with_timings=True)
+    if fmt == "csv":
+        rows = list(csv.DictReader(empty.read_text().splitlines()))
+        with timed.open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, CSV_COLUMNS, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows({**row, "elapsed_ms": i % 3}
+                             for i, row in enumerate(rows))
+    else:
+        rows = [json.loads(line) for line in empty.read_text().splitlines()]
+        timed.write_text("".join(json.dumps({**row, "elapsed_ms": i % 3})
+                                 + "\n" for i, row in enumerate(rows)))
+    assert timed.read_bytes() != empty.read_bytes()
+    assert read_records(str(timed), fmt) == read_records(str(empty), fmt)
 
 
 def test_write_records_rejects_unknown_format(tmp_path):

@@ -5,10 +5,10 @@ p - 1 under the configured policy and the n > p**epsilon hypothesis filter,
 computes k(p, n) (optionally with subgroup-sum statistics) per case, and
 fits ln k against ln p by least squares.
 
-Work is partitioned per prime: one pool task builds the prime's context
-once and runs its cases in ascending n.  Workers share only the immutable
-config, and results are joined in prime order, so output files are
-byte-identical for any worker count.
+Work is partitioned per prime: one pool task runs a prime's cases in
+ascending n and factors p - 1 only to list all odd divisors or to find g.
+Workers share only the immutable config, and results are joined in prime
+order, so output files are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -80,10 +80,10 @@ class SweepConfig:
             raise ValueError(f"fixed_n = {self.fixed_n} with n_policy "
                              f"{self.n_policy!r}: n_policy 'fixed_n' needs "
                              "fixed_n, and no other policy reads it")
-        if self.fixed_n is not None and (self.fixed_n < 1
-                                         or self.fixed_n % 2 == 0):
+        n = self.fixed_n
+        if n is not None and (type(n) is not int or n < 1 or n % 2 == 0):
             raise ValueError(
-                f"fixed_n must be a positive odd integer, got {self.fixed_n}")
+                f"fixed_n must be a positive odd integer, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -150,15 +150,15 @@ def odd_divisors(m: int) -> list[int]:
 
 
 def _case_ns(ctx: PrimeContext, config: SweepConfig) -> list[int]:
-    candidates = _odd_divisors_of(ctx.factors)
+    m = ctx.p - 1
     if config.n_policy == "largest_odd_divisor":
-        candidates = candidates[-1:]
+        candidates = [m // (m & -m)]
     elif config.n_policy == "fixed_n":
-        candidates = [n for n in candidates if n == config.fixed_n]
-    kept = [n for n in candidates if n >= config.n_min]
-    if config.epsilon > 0.0:
-        kept = [n for n in kept if n > ctx.p**config.epsilon]
-    return kept
+        candidates = [config.fixed_n] if m % config.fixed_n == 0 else []
+    else:
+        candidates = _odd_divisors_of(ctx.factors)
+    floor = ctx.p**config.epsilon if config.epsilon > 0.0 else 0
+    return [n for n in candidates if n >= config.n_min and n > floor]
 
 
 def _primes(config: SweepConfig) -> list[int]:

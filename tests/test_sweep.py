@@ -80,12 +80,48 @@ def test_config_rejects_bad_sizes():
         SweepConfig(p_min=5, p_max=SIEVE_CAP + 1)
     with pytest.raises(ValueError):
         SweepConfig(p_min=5, p_max=10, n_min=0)
-    for bad in (4, 0, -3):
-        with pytest.raises(ValueError):
+    # fixed_n reaches pow(x, n, p) as given, so it must be an int; a bool
+    # would be written as True/true in the n column
+    for bad in (4, 0, -3, 3.0, 15.0, True, "3", Fraction(3)):
+        with pytest.raises(ValueError, match="positive odd integer"):
             SweepConfig(p_min=5, p_max=10, n_policy="fixed_n", fixed_n=bad)
     for policy in ("all_odd_divisors", "largest_odd_divisor"):
         with pytest.raises(ValueError, match="fixed_n"):
             SweepConfig(p_min=29, p_max=31, n_policy=policy, fixed_n=5)
+
+
+def old_case_ns(p, config):
+    """The derivation before each policy named its n: every odd divisor of
+    p - 1, cut to the policy, then the n_min and epsilon filters."""
+    candidates = odd_divisors(p - 1)
+    if config.n_policy == "largest_odd_divisor":
+        candidates = candidates[-1:]
+    elif config.n_policy == "fixed_n":
+        candidates = [n for n in candidates if n == config.fixed_n]
+    kept = [n for n in candidates if n >= config.n_min]
+    if config.epsilon > 0.0:
+        kept = [n for n in kept if n > p**config.epsilon]
+    return kept
+
+
+def test_case_ns_equals_the_filtered_divisor_list():
+    policies = [dict(n_policy="all_odd_divisors"),
+                dict(n_policy="largest_odd_divisor")]
+    policies += [dict(n_policy="fixed_n", fixed_n=n)
+                 for n in (1, 3, 5, 9, 15, 45, 105)]
+    configs = [SweepConfig(p_min=5, p_max=20000, n_min=n_min,
+                           epsilon=epsilon, **policy)
+               for policy in policies for n_min in (1, 3)
+               for epsilon in (0.0, 1 / 3)]
+    cases = Counter()
+    for p in modmath.primes_between(5, 20000):
+        ctx = modmath.PrimeContext(p)
+        for config in configs:
+            ns = sweep._case_ns(ctx, config)
+            assert ns == old_case_ns(p, config), (p, config)
+            cases[config.n_policy] += len(ns)
+    # every policy keeps cases, so the comparison is not vacuous
+    assert min(cases.values()) > 1000
 
 
 def test_run_sweep_single_cases():
@@ -156,11 +192,17 @@ def test_one_context_and_one_factorisation_per_prime(monkeypatch):
                          (sweep, "PrimeContext")):
         count(module, name)
     primes = [p for p in primes_up_to(2000) if p >= 5]
-    run_sweep(SweepConfig(p_min=5, p_max=2000, workers=1))
-    assert calls == {"PrimeContext": len(primes), "factorize": len(primes)}
-    calls.clear()
-    enumerate_cases(SweepConfig(p_min=5, p_max=2000))
-    assert calls == {"PrimeContext": len(primes), "factorize": len(primes)}
+    # only the list of all odd divisors reads the factors of p - 1
+    for policy, factorisations in (
+            (dict(n_policy="all_odd_divisors"), len(primes)),
+            (dict(n_policy="largest_odd_divisor"), 0),
+            (dict(n_policy="fixed_n", fixed_n=15), 0)):
+        config = SweepConfig(p_min=5, p_max=2000, workers=1, **policy)
+        for run in (run_sweep, enumerate_cases):
+            calls.clear()
+            run(config)
+            assert calls == Counter(PrimeContext=len(primes),
+                                    factorize=factorisations), (policy, run)
 
 
 def recorded_contexts(monkeypatch):
@@ -191,6 +233,22 @@ def test_k_only_sweep_searches_no_root_and_tests_no_primality(monkeypatch):
     # Below 2**16 factorize splits p - 1 by trial division alone, so any
     # is_prime call would be a second proof of a sieve prime.
     assert tested == []
+
+
+def test_largest_odd_divisor_factors_only_for_the_phase_table(monkeypatch):
+    config = SweepConfig(p_min=5, p_max=3000, n_min=5, epsilon=0.3,
+                         n_policy="largest_odd_divisor")
+    primes_with_cases = {p for p, _ in enumerate_cases(config)}
+    assert 0 < len(primes_with_cases) < len(modmath.primes_between(5, 3000))
+    made = recorded_contexts(monkeypatch)
+    run_sweep(config)
+    assert not any("factors" in ctx.__dict__ for ctx in made)
+    made.clear()
+    run_sweep(dataclasses.replace(config, with_expsums=True))
+    assert [ctx.p for ctx in made] == modmath.primes_between(5, 3000)
+    # g, and through it p - 1's factors, is read for the phase table alone
+    assert {ctx.p for ctx in made
+            if "factors" in ctx.__dict__} == primes_with_cases
 
 
 def test_one_phase_table_per_prime_with_cases(monkeypatch):

@@ -6,7 +6,8 @@ computes k(p, n) (optionally with subgroup-sum statistics) per case, and
 fits ln k against ln p by least squares.
 
 Work is partitioned per prime: one pool task runs a prime's cases in
-ascending n and factors p - 1 only to list all odd divisors or to find g.
+ascending n and factors p - 1 only to list all odd divisors or to find g;
+it checks that k(p, n') <= k(p, n) whenever n | n' among its cases.
 Workers share only the immutable config, and results are joined in prime
 order, so output files are byte-identical for any worker count.
 """
@@ -49,8 +50,9 @@ _STD_PATHS = {"/dev/stdout": 1, "/dev/stderr": 2}
 class SweepConfig:
     """Immutable sweep parameters; validated on construction.
 
-    Bad values raise ValueError; a p_max above SIEVE_CAP raises ScaleLimit
-    before the prime sieve is allocated.
+    Bad values, including a p_min, p_max, n_min, workers or fixed_n that is
+    not an int (a bool or a float among them), raise ValueError; a p_max
+    above SIEVE_CAP raises ScaleLimit before the prime sieve is allocated.
     """
 
     p_min: int
@@ -63,6 +65,10 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("p_min", "p_max", "n_min", "workers"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.p_max > SIEVE_CAP:
             raise ScaleLimit(
                 f"p_max = {self.p_max} exceeds the sieve cap {SIEVE_CAP}")
@@ -197,15 +203,31 @@ def _case_record(ctx: PrimeContext, n: int,
                        delta_emp=delta)
 
 
+def _check_monotone(records: list[SweepRecord]) -> None:
+    """k(p, n') <= k(p, n) whenever n | n' among one prime's computed
+    cases: each coset of the order-2n' subgroup is a union of cosets of
+    the order-2n one, so its least member is no smaller."""
+    done = [rec for rec in records if rec.k is not None]
+    for i, coarse in enumerate(done):
+        for fine in done[i + 1:]:
+            if fine.n % coarse.n == 0 and fine.k > coarse.k:
+                raise InvariantViolation(
+                    f"k not monotone at p={coarse.p}: k(n={fine.n}) = "
+                    f"{fine.k} > k(n={coarse.n}) = {coarse.k}")
+
+
 def _prime_records(ctx: PrimeContext, ns: list[int],
                    with_expsums: bool) -> list[SweepRecord]:
-    """The records of one prime's cases ns, in order, sharing at most one
-    phase table: none without expsums, without cases or above the cap."""
+    """The records of one prime's ascending cases ns, in order, sharing at
+    most one phase table: none without expsums, without cases or above the
+    cap.  The records are checked against each other by _check_monotone."""
     try:
         table = phase_table(ctx) if with_expsums and ns else None
     except ScaleLimit:
         table = None
-    return [_case_record(ctx, n, table) for n in ns]
+    records = [_case_record(ctx, n, table) for n in ns]
+    _check_monotone(records)
+    return records
 
 
 def run_case(p: int, n: int, *, with_expsums: bool = False) -> SweepRecord:

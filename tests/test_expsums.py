@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import tracemalloc
+from itertools import islice
 from math import fsum
 
 import pytest
@@ -135,6 +136,76 @@ def test_profile_holds_one_complex_per_coset():
         tracemalloc.stop()
     assert len(profile.coset_values) == (p - 1) // 3
     assert peak < 64 * (p - 1) // 3, peak
+
+
+ROWS_P = 100003  # p - 1 = 2 * 3 * 7 * 2381
+
+
+def fsum_profile(table, d):
+    """Oracle for an odd d: every coset summed by fsum from its d entries
+    of the full table E[j] = e(g**j/p), read off the half table."""
+    p, h = table.p, (table.p - 1) // 2
+    m = (p - 1) // d
+
+    def entry(j):
+        if j < h:
+            return table.cos[j], table.sin[j]
+        return table.cos[j - h], -table.sin[j - h]
+
+    values = []
+    for i in range(m):
+        terms = [entry(i + m * t) for t in range(d)]
+        values.append(complex(fsum(x for x, _ in terms),
+                              fsum(y for _, y in terms)))
+    return values
+
+
+def test_row_summed_profiles_match_fsum_and_direct_sums():
+    # d = 3 and d = 7 have c = m/2 = 16667 and 7143 cosets per row, more
+    # than one block of the row sums; d = 21 has 2381, less than one
+    p = ROWS_P
+    ctx = build_prime_context(p)
+    table = phase_table(ctx)
+    rng = random.Random(5)
+    for d in (3, 7, 21):
+        assert d * d <= p
+        profile = expsum_profile(table, d)
+        values = profile.coset_values
+        m = (p - 1) // d
+        c = m // 2
+        assert len(values) == m
+        # the rows path's d*(d-1)*2**-53 per component, plus at most
+        # 2**-53 * d for the rounding of the oracle's own fsum
+        bound = d * d * 2.0**-53
+        for s, ref in zip(values, fsum_profile(table, d)):
+            assert abs(s.real - ref.real) <= bound, (d, s, ref)
+            assert abs(s.imag - ref.imag) <= bound, (d, s, ref)
+        for i in range(c):
+            assert values[i + c] == values[i].conjugate(), (d, i)
+        H = _subgroup_of_order(ctx, d)
+        reps = list(islice(powers(ctx.g, p), m))
+        for i in rng.sample(range(m), 40) + [0, c - 1, c, m - 1]:
+            direct = subgroup_expsum(p, H, reps[i])
+            assert abs(values[i] - direct) < 1e-10 * d, (d, i)
+        direct_max = max(abs(subgroup_expsum(p, H, a)) for a in reps)
+        assert abs(profile.max_magnitude - direct_max) < 1e-10 * d, d
+
+
+def test_phase_table_is_built_in_blocks():
+    # about 25 B per entry: the two arrays and one block of the walk;
+    # whole-table lists of the walk and its angles took 121
+    p = ROWS_P
+    ctx = build_prime_context(p)
+    ctx.g  # the search for g is not the table's
+    tracemalloc.start()
+    try:
+        table = phase_table(ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    entries = (p - 1) // 2
+    assert len(table.cos) == len(table.sin) == entries
+    assert peak < 32 * entries, peak / entries
 
 
 def test_phase_table_cap_and_bad_order(ctx13, monkeypatch):

@@ -49,6 +49,14 @@ real_k = sweep.compute_k
 sweep.compute_k = lambda ctx, n, **kw: dataclasses.replace(
     real_k(ctx, n, **kw), k=0)
 check("sandwich", lambda: run_case(13, 3))
+
+# monotone: k(31, 15) = 1 raised to 9, inside its sandwich [1, 217/15)
+# but above k(31, 3) = 8, although 3 divides 15
+sweep.compute_k = lambda ctx, n, **kw: (
+    dataclasses.replace(real_k(ctx, n, **kw), k=9) if n == 15
+    else real_k(ctx, n, **kw))
+check("monotone", lambda: sweep.run_sweep(sweep.SweepConfig(p_min=31,
+                                                            p_max=31)))
 sweep.compute_k = real_k
 
 # log k: a skipped record has no k
@@ -72,5 +80,7 @@ def test_invariants_raise_under_python_O():
     doc = json.loads(proc.stdout)
     assert doc["optimize"] == 1
     assert sorted(doc["caught"]) == ["bsgs_log", "imaginary_residue",
-                                     "log_k", "n_divides_t", "root_count",
-                                     "sandwich"]
+                                     "log_k", "monotone", "n_divides_t",
+                                     "root_count", "sandwich"]
+    assert doc["caught"]["monotone"] == (
+        "k not monotone at p=31: k(n=15) = 9 > k(n=3) = 8")

@@ -88,6 +88,13 @@ def test_config_rejects_bad_sizes():
     for policy in ("all_odd_divisors", "largest_odd_divisor"):
         with pytest.raises(ValueError, match="fixed_n"):
             SweepConfig(p_min=29, p_max=31, n_policy=policy, fixed_n=5)
+    # a float or bool size is refused when the config is built, before a
+    # sieve or a pool could meet it
+    for field, bad in (("workers", 1.5), ("p_min", 5.5), ("p_max", 50.0),
+                       ("n_min", 2.5), ("workers", True)):
+        values = {"p_min": 5, "p_max": 50, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            SweepConfig(**values)
 
 
 def old_case_ns(p, config):

@@ -5,11 +5,17 @@ p - 1 under the configured policy and the n > p**epsilon hypothesis filter,
 computes k(p, n) (optionally with subgroup-sum statistics) per case, and
 fits ln k against ln p by least squares.
 
-Work is partitioned per prime: one pool task runs a prime's cases in
-ascending n and factors p - 1 only to list all odd divisors or to find g;
-it checks that k(p, n') <= k(p, n) whenever n | n' among its cases.
-Workers share only the immutable config, and results are joined in prime
-order, so output files are byte-identical for any worker count.
+Work is partitioned per prime.  The sweep builds each prime's context and
+lists its cases in ascending n, factoring p - 1 only to list all odd
+divisors; one task per prime then runs them, finds g only for a phase
+table, and checks that k(p, n') <= k(p, n) whenever n | n' among its
+cases.  The tasks run in a process pool only when more than one worker
+may run and the sweep's work estimate (see run_sweep) reaches
+_POOL_MIN_WORK; below it they run in-process whatever the worker count,
+since starting the pool would cost more than it saves.  A pool task gets
+its prime's context, factors included, and case list, and results are
+joined in prime order, so output files are byte-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import starmap
 from statistics import StatisticsError, linear_regression
 from tempfile import TemporaryFile
 
@@ -41,6 +48,17 @@ FORMATS = ("csv", "jsonl")
 CSV_COLUMNS = ("p", "n", "k", "lower_num", "lower_den", "upper_num",
                "upper_den", "normalized", "max_expsum_ratio", "delta_emp",
                "elapsed_ms")
+
+# The work estimate of run_sweep, in units of one element of a case's
+# residue subgroup R, |R| = (p - 1)/n, which costs a k scan about 0.4-0.7 us
+# (2-CPU Xeon, Python 3.11).  A prime adds _PRIME_WORK units (context, case
+# list, records); with expsums its phase table and each of its profiles add
+# (p - 1)/_EXPSUM_DIVISOR units, as their cost follows p, not |R|.  Below
+# _POOL_MIN_WORK units, 60-70 ms in-process, a 2-worker pool did not repay
+# its start-up.
+_PRIME_WORK = 30
+_EXPSUM_DIVISOR = 4
+_POOL_MIN_WORK = 100_000
 
 _FD_PATH = re.compile(r"/(?:dev|proc/self)/fd/(\d+)")
 _STD_PATHS = {"/dev/stdout": 1, "/dev/stderr": 2}
@@ -174,14 +192,19 @@ def _primes(config: SweepConfig) -> list[int]:
     return primes
 
 
+def _cases(primes: list[int], config: SweepConfig):
+    """Each prime's context and its ascending case ns, built lazily."""
+    return ((ctx, _case_ns(ctx, config)) for ctx in map(PrimeContext, primes))
+
+
 def enumerate_cases(config: SweepConfig) -> list[tuple[int, int]]:
     """All (p, n) pairs under the policy and hypothesis filters, sorted.
 
     Raises EmptyRange when the prime range itself is empty; filters that
     merely reject every divisor yield an empty list instead.
     """
-    return [(p, n) for p in _primes(config)
-            for n in _case_ns(PrimeContext(p), config)]
+    return [(ctx.p, n) for ctx, ns in _cases(_primes(config), config)
+            for n in ns]
 
 
 def _case_record(ctx: PrimeContext, n: int,
@@ -235,30 +258,52 @@ def run_case(p: int, n: int, *, with_expsums: bool = False) -> SweepRecord:
     return _prime_records(build_prime_context(p), [n], with_expsums)[0]
 
 
-def _run_prime(p: int, config: SweepConfig) -> list[SweepRecord]:
-    """All of one prime's records, in ascending n; p comes from the sieve
-    of a SweepConfig window, so it is a prime in [5, SIEVE_CAP]."""
-    ctx = PrimeContext(p)
-    return _prime_records(ctx, _case_ns(ctx, config), config.with_expsums)
+def _work(cases: list[tuple[PrimeContext, list[int]]],
+          with_expsums: bool) -> int:
+    """The estimated in-process cost of a sweep's cases, in the units of
+    the constants above."""
+    work = 0
+    for ctx, ns in cases:
+        m = ctx.p - 1
+        work += _PRIME_WORK + sum(m // n for n in ns)
+        if with_expsums and ns:
+            work += (len(ns) + 1) * m // _EXPSUM_DIVISOR
+    return work
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """One record per enumerated case, ordered by (p, n).
 
     Per-case cap failures are recorded as skips and never abort the sweep.
+    The primes of the window come from its sieve, so none is tested again.
+
+    At most config.workers processes run the sweep, and no more than it
+    has primes or than there are CPUs this process may run on.  A pool is
+    started only when that leaves two or more and the work estimate W
+    reaches _POOL_MIN_WORK; otherwise the sweep runs in-process.  W sums,
+    over the primes, _PRIME_WORK plus |R| = (p - 1)/n for each of the
+    prime's cases and, with expsums, (p - 1)/_EXPSUM_DIVISOR for its phase
+    table and for each case's profile.  The choice reads the config, its
+    primes and the CPU count, never a clock, and either way the records are
+    the same.
     """
     primes = _primes(config)
-    task = partial(_run_prime, config=config)
+    cases = _cases(primes, config)
     # the CPUs this process may run on, where the platform says which
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(config.workers, len(primes), cpus)
+    if workers > 1:
+        cases = list(cases)
+        if _work(cases, config.with_expsums) < _POOL_MIN_WORK:
+            workers = 1
+    task = partial(_prime_records, with_expsums=config.with_expsums)
     if workers == 1:
-        per_prime = map(task, primes)
+        per_prime = starmap(task, cases)
     else:
-        chunk = max(1, len(primes) // (workers * 8))
+        chunk = max(1, len(cases) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_prime = list(pool.map(task, primes, chunksize=chunk))
+            per_prime = list(pool.map(task, *zip(*cases), chunksize=chunk))
     return [rec for records in per_prime for rec in records]
 
 

@@ -16,7 +16,7 @@ from powres import (SweepConfig, build_prime_context, brute_force_k,
                     harmonic_bound_check, interval_bound, interval_expsum,
                     nth_root_solutions, odd_divisors,
                     orthogonality_decomposition, phase_table, primes_up_to,
-                    run_sweep, write_records)
+                    run_sweep, sweep, write_records)
 
 
 def report(num, name, ok, detail=""):
@@ -143,7 +143,9 @@ def test_criterion_08_growth_trend_slope():
            f"{fit.n_points} points)")
 
 
-def test_criterion_09_sweep_determinism(tmp_path):
+def test_criterion_09_sweep_determinism(tmp_path, monkeypatch):
+    # start the pool although p <= 500 is below the work it would repay
+    monkeypatch.setattr(sweep, "_POOL_MIN_WORK", 0)
     blobs = {}
     for fmt in ("csv", "jsonl"):
         for workers in (1, 8):

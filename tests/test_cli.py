@@ -260,7 +260,8 @@ def test_sweep_worker_counts_byte_identical(tmp_path):
     outs = []
     for i, workers in enumerate(("1", "8")):
         out = str(tmp_path / f"sweep{i}.jsonl")
-        proc = run_cli("sweep", "--p-max", "200", "--out", out,
+        # p <= 3000 is above the work estimate that starts a pool
+        proc = run_cli("sweep", "--p-max", "3000", "--out", out,
                        "--format", "jsonl", "--workers", workers)
         assert proc.returncode == 0
         outs.append(open(out, "rb").read())

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import sys
 import threading
 from collections import Counter
@@ -20,6 +21,37 @@ from powres.sweep import CSV_COLUMNS, FORMATS
 
 def make_record(p, k, n=3):
     return SweepRecord(p=p, n=n, k=k)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replace the process pool by one that runs its tasks in-process, after
+    a pickle round trip of the tasks and their results as a real pool makes;
+    the returned list collects the size of each pool constructed."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            fn, jobs = pickle.loads(pickle.dumps((fn, list(zip(*iterables)))))
+            return pickle.loads(pickle.dumps([fn(*job) for job in jobs]))
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def two_usable_cpus(monkeypatch):
+    """Let a sweep start two workers on any machine."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
 
 def test_odd_divisors():
@@ -169,13 +201,15 @@ def test_run_case_expsum_statistics():
     assert plain.max_expsum_ratio is None and plain.delta_emp is None
 
 
-def test_worker_counts_agree_in_memory():
+def test_worker_counts_agree_in_memory(monkeypatch):
+    monkeypatch.setattr(sweep, "_POOL_MIN_WORK", 0)
     cfg1 = SweepConfig(p_min=5, p_max=300, with_expsums=True, workers=1)
     cfg3 = SweepConfig(p_min=5, p_max=300, with_expsums=True, workers=3)
     assert run_sweep(cfg1) == run_sweep(cfg3)
 
 
 def test_pool_workers_see_the_environment_cap(monkeypatch):
+    monkeypatch.setattr(sweep, "_POOL_MIN_WORK", 0)
     monkeypatch.setenv("POWRES_ENUM_CAP", "2")
     runs = [run_sweep(SweepConfig(p_min=5, p_max=200, workers=workers))
             for workers in (1, 2)]
@@ -184,7 +218,10 @@ def test_pool_workers_see_the_environment_cap(monkeypatch):
     assert any(r.k is not None for r in runs[0])
 
 
-def test_one_context_and_one_factorisation_per_prime(monkeypatch):
+def test_one_context_and_one_factorisation_per_prime(monkeypatch, fake_pool):
+    # a pooled sweep lists the cases too, and its tasks get the contexts
+    monkeypatch.setattr(sweep, "_POOL_MIN_WORK", 0)
+    two_usable_cpus(monkeypatch)
     calls = Counter()
 
     def count(module, name):
@@ -205,11 +242,18 @@ def test_one_context_and_one_factorisation_per_prime(monkeypatch):
             (dict(n_policy="largest_odd_divisor"), 0),
             (dict(n_policy="fixed_n", fixed_n=15), 0)):
         config = SweepConfig(p_min=5, p_max=2000, workers=1, **policy)
-        for run in (run_sweep, enumerate_cases):
+        pooled = dataclasses.replace(config, workers=2)
+        for run, cfg in ((run_sweep, config), (enumerate_cases, config),
+                         (run_sweep, pooled)):
             calls.clear()
-            run(config)
+            run(cfg)
             assert calls == Counter(PrimeContext=len(primes),
-                                    factorize=factorisations), (policy, run)
+                                    factorize=factorisations), (policy, cfg)
+    # the phase table's g reads the factors that came with each context
+    calls.clear()
+    run_sweep(SweepConfig(p_min=5, p_max=2000, with_expsums=True, workers=2))
+    assert calls == Counter(PrimeContext=len(primes), factorize=len(primes))
+    assert fake_pool == [2, 2, 2, 2]
 
 
 def recorded_contexts(monkeypatch):
@@ -282,24 +326,9 @@ def test_one_phase_table_per_prime_with_cases(monkeypatch):
     assert not calls
 
 
-def test_pool_size_is_bounded_by_primes_and_cpus(monkeypatch):
-    # A fake executor runs map in-process, so no process is ever started.
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+def test_pool_size_is_bounded_by_primes_and_cpus(monkeypatch, fake_pool):
+    # The fake executor runs map in-process, so no process is ever started.
+    monkeypatch.setattr(sweep, "_POOL_MIN_WORK", 0)
     # where there is no affinity set, the machine's CPU count bounds the pool
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     serial = run_sweep(SweepConfig(p_min=5, p_max=50))
@@ -308,12 +337,60 @@ def test_pool_size_is_bounded_by_primes_and_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     run_sweep(SweepConfig(p_min=5, p_max=20, workers=100000))  # 6 primes
     run_sweep(SweepConfig(p_min=5, p_max=50, workers=3))
-    assert sizes == [4, 6, 3]
+    assert fake_pool == [4, 6, 3]
     assert pooled == serial
+
+
+def estimate(config):
+    return sweep._work(list(sweep._cases(sweep._primes(config), config)),
+                       config.with_expsums)
+
+
+def test_pool_starts_only_above_the_work_estimate(monkeypatch, fake_pool):
+    two_usable_cpus(monkeypatch)
+    # a window of the growth benchmark: ~800 primes with |R| of a few units
+    growth = SweepConfig(p_min=150000, p_max=160000, epsilon=1 / 3,
+                         n_policy="largest_odd_divisor", workers=2)
+    divisors = SweepConfig(p_min=4000, p_max=6000, workers=2)
+    assert estimate(growth) < sweep._POOL_MIN_WORK <= estimate(divisors)
+    for config, sizes in ((growth, []), (divisors, [2])):
+        fake_pool.clear()
+        serial = run_sweep(dataclasses.replace(config, workers=1))
+        assert run_sweep(config) == serial
+        assert fake_pool == sizes, config
+
+
+def test_work_estimate_counts_expsum_work_by_p():
+    # |R| is a few units per case, but each phase table and profile covers
+    # p - 1 phases: with expsums this sweep runs over a second in-process
+    config = SweepConfig(p_min=50000, p_max=51000, epsilon=1 / 3,
+                         n_policy="largest_odd_divisor")
+    assert estimate(config) < sweep._POOL_MIN_WORK
+    assert estimate(dataclasses.replace(config, with_expsums=True)) >= (
+        sweep._POOL_MIN_WORK)
+
+
+def test_real_pool_starts_once_above_the_threshold(monkeypatch):
+    two_usable_cpus(monkeypatch)
+    started = []
+    real = sweep.ProcessPoolExecutor
+
+    def counted(max_workers):
+        started.append(max_workers)
+        return real(max_workers=max_workers)
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", counted)
+    config = SweepConfig(p_min=2000, p_max=3500, workers=2)
+    assert estimate(config) >= sweep._POOL_MIN_WORK
+    pooled = run_sweep(config)
+    assert started == [2]
+    assert pooled == run_sweep(dataclasses.replace(config, workers=1))
+    assert started == [2]
 
 
 def test_pool_size_is_bounded_by_the_usable_cpus(monkeypatch):
     # One usable CPU on a machine of many: a pool would only contend for it.
+    monkeypatch.setattr(sweep, "_POOL_MIN_WORK", 0)
+
     def no_pool(max_workers):
         raise AssertionError(f"pool of {max_workers} started on one CPU")
     serial = run_sweep(SweepConfig(p_min=5, p_max=50))
@@ -473,7 +550,8 @@ def test_write_records_refuses_an_empty_path(tmp_path, monkeypatch):
     assert list((tmp_path / "sub").iterdir()) == []
 
 
-def test_identical_configs_identical_bytes(tmp_path):
+def test_identical_configs_identical_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(sweep, "_POOL_MIN_WORK", 0)
     cfg = SweepConfig(p_min=5, p_max=300, with_expsums=True)
     paths = []
     for i, workers in enumerate((1, 3)):

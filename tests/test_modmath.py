@@ -89,6 +89,12 @@ def test_factorize_is_deterministic_on_hard_semiprimes():
     a, b = 1_000_003, 1_000_033
     assert factorize(a * b) == [(a, 1), (b, 1)]
     assert factorize(a * a) == [(a, 2)]
+    # the hardest split the 2**62 cap allows: two 31-bit primes
+    assert factorize(2147483647 * 2147483629) == [(2147483629, 1),
+                                                  (2147483647, 1)]
+    # p - 1 of the prime 108086689020307399: a 54-bit semiprime for rho
+    assert factorize(108086689020307398) == [(2, 1), (3, 1), (134217757, 1),
+                                             (134218069, 1)]
 
 
 def test_build_prime_context_examples():

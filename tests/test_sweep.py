@@ -16,6 +16,7 @@ from powres import (SIEVE_CAP, DecompositionResult, EmptyRange,
                     SweepConfig, SweepRecord, enumerate_cases, fit_exponent,
                     modmath, odd_divisors, primes_up_to, read_records,
                     run_case, run_sweep, sweep, write_records)
+from powres.expsums import empirical_delta, expsum_profile, phase_table
 from powres.sweep import CSV_COLUMNS, FORMATS
 
 
@@ -127,6 +128,15 @@ def test_config_rejects_bad_sizes():
         values = {"p_min": 5, "p_max": 50, field: bad}
         with pytest.raises(ValueError, match=f"{field} must be an int"):
             SweepConfig(**values)
+    # a truthy string would switch expsums on; these epsilons would escape
+    # the range check as TypeError
+    for bad in ("no", 1, None):
+        with pytest.raises(ValueError, match="with_expsums must be a bool"):
+            SweepConfig(p_min=5, p_max=60, with_expsums=bad)
+    for bad in ("0.5", None, 0.5j, True, Fraction(1, 3)):
+        with pytest.raises(ValueError, match="epsilon must be an int or"):
+            SweepConfig(p_min=5, p_max=60, epsilon=bad)
+    SweepConfig(p_min=5, p_max=60, epsilon=0)
 
 
 def old_case_ns(p, config):
@@ -199,6 +209,17 @@ def test_run_case_expsum_statistics():
     assert rec.delta_emp is not None and rec.delta_emp > 0
     plain = run_case(13, 3)
     assert plain.max_expsum_ratio is None and plain.delta_emp is None
+
+
+def test_record_delta_equals_the_profile_delta():
+    # delta_emp is derived from the stored ratio, p and n; it must read
+    # what empirical_delta reads off the profile, None at |H| = 1
+    records = run_sweep(SweepConfig(p_min=5, p_max=400, n_min=1,
+                                    with_expsums=True))
+    assert any(rec.n == 1 for rec in records)
+    for rec in records:
+        table = phase_table(modmath.PrimeContext(rec.p))
+        assert rec.delta_emp == empirical_delta(expsum_profile(table, rec.n))
 
 
 def test_worker_counts_agree_in_memory(monkeypatch):
@@ -501,7 +522,7 @@ def test_result_types_store_only_what_was_computed():
         return [f.name for f in dataclasses.fields(cls)]
     assert names(KResult) == ["p", "n", "k"]
     assert names(SweepRecord) == ["p", "n", "k", "max_expsum_ratio",
-                                  "delta_emp", "skip_reason"]
+                                  "skip_reason"]
     assert names(ExpSumProfile) == ["p", "g", "subgroup_order",
                                     "coset_values"]
     assert "reconstruction" not in names(DecompositionResult)

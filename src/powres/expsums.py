@@ -38,7 +38,7 @@ from .residues import (_require_enumerable, _root_coset, nth_root_solutions,
 
 
 def _check_radius(p: int, K: int) -> None:
-    if not isinstance(K, int) or K < 1 or K > (p - 1) // 2:
+    if type(K) is not int or K < 1 or K > (p - 1) // 2:
         raise BadRadius(f"K must be an integer in [1, {(p - 1) // 2}], got {K}")
 
 
@@ -150,8 +150,8 @@ def expsum_profile(table: PhaseTable, d: int) -> ExpSumProfile:
     rounded.
     """
     p, g, cos_t, sin_t = table.p, table.g, table.cos, table.sin
-    if d < 1 or (p - 1) % d:
-        raise BadN(f"d must divide p - 1 = {p - 1}, got {d}")
+    if type(d) is not int or d < 1 or (p - 1) % d:
+        raise BadN(f"d must be an int dividing p - 1 = {p - 1}, got {d!r}")
     m = (p - 1) // d
     c = (p - 1) // 2 % m  # coset of -1: m/2 for odd d, 0 for even d
     sums: list[complex] = [0j] * m

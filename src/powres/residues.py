@@ -22,29 +22,33 @@ from .modmath import PrimeContext, powers, primes_up_to
 ENUM_CAP_DEFAULT = 1 << 22
 
 
-def _require_enumerable(count: int, what: str) -> None:
-    """The one size guard: call it before building a container whose size
-    the input sets, so an oversized request fails before it allocates.
-
-    The cap, POWRES_ENUM_CAP (default 2**22; not a positive integer raises
-    ValueError), is read from the environment here and nowhere else, on
-    every call, so pool workers see their parent's cap.  It bounds R, the
-    n roots, the baby-step table, and the p - 1 phases of the expsum table
-    and of the decomposition terms.
+def _enum_cap() -> int:
+    """The enumeration cap, POWRES_ENUM_CAP (default 2**22; not a positive
+    integer raises ValueError), read from the environment here and nowhere
+    else, on every call, so pool workers see their parent's cap.  It bounds
+    R, the n roots, the baby-step table, and the p - 1 phases of the expsum
+    table and of the decomposition terms.
     """
     raw = os.environ.get("POWRES_ENUM_CAP", str(ENUM_CAP_DEFAULT))
     cap = int(raw) if raw.isdecimal() else 0
     if cap < 1:
         raise ValueError(
             f"POWRES_ENUM_CAP must be a positive integer, got {raw!r}")
+    return cap
+
+
+def _require_enumerable(count: int, what: str) -> None:
+    """The one size guard: call it before building a container whose size
+    the input sets, so an oversized request fails before it allocates."""
+    cap = _enum_cap()
     if count > cap:
         raise NotEnumerated(
             f"{what} would hold {count} entries, above the cap {cap}")
 
 
 def _require_valid_n(p: int, n: int) -> None:
-    if n < 1:
-        raise BadN(f"n must be positive, got {n}")
+    if type(n) is not int or n < 1:
+        raise BadN(f"n must be a positive int, got {n!r}")
     if n % 2 == 0:
         raise BadN(f"n must be odd, got {n}")
     if (p - 1) % n != 0:

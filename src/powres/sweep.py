@@ -10,7 +10,7 @@ lists its cases in ascending n, factoring p - 1 only to list all odd
 divisors; one task per prime then runs them, finds g only for a phase
 table, and checks that k(p, n') <= k(p, n) whenever n | n' among its
 cases.  The tasks run in a process pool only when more than one worker
-may run and the sweep's work estimate (see run_sweep) reaches
+may run and the sweep's work estimate (see _work) reaches
 _POOL_MIN_WORK; below it they run in-process whatever the worker count,
 since starting the pool would cost more than it saves.  A pool task gets
 its prime's context, factors included, and case list, and results are
@@ -39,7 +39,7 @@ from .errors import EmptyRange, InvariantViolation, ScaleLimit
 from .expsums import PhaseTable, _delta, expsum_profile, phase_table
 from .modmath import (SIEVE_CAP, PrimeContext, build_prime_context,
                       factorize, primes_between)
-from .residues import KResult, chowla_london_bounds, compute_k
+from .residues import KResult, _enum_cap, chowla_london_bounds, compute_k
 
 N_POLICIES = ("all_odd_divisors", "largest_odd_divisor", "fixed_n")
 
@@ -49,14 +49,11 @@ CSV_COLUMNS = ("p", "n", "k", "lower_num", "lower_den", "upper_num",
                "upper_den", "normalized", "max_expsum_ratio", "delta_emp",
                "elapsed_ms")
 
-# The work estimate of run_sweep, in units of one element of a case's
-# residue subgroup R, |R| = (p - 1)/n, which costs a k scan about 0.4-0.7 us
-# (2-CPU Xeon, Python 3.11).  A prime adds _PRIME_WORK units (context, case
-# list, records); with expsums its phase table and each of its profiles add
-# (p - 1)/_EXPSUM_DIVISOR units, as their cost follows p, not |R|.  Below
-# _POOL_MIN_WORK units, 60-70 ms in-process, a 2-worker pool did not repay
-# its start-up.
-_PRIME_WORK = 30
+# The work estimate of run_sweep (see _work), in units of one element of a
+# case's residue subgroup R, which costs a k scan about 0.4-0.7 us (2-CPU
+# Xeon, Python 3.11).  A phase table or profile costs about 1/_EXPSUM_DIVISOR
+# unit per phase.  Below _POOL_MIN_WORK units, 60-70 ms in-process, a
+# 2-worker pool did not repay its start-up.
 _EXPSUM_DIVISOR = 4
 _POOL_MIN_WORK = 100_000
 
@@ -268,13 +265,22 @@ def run_case(p: int, n: int, *, with_expsums: bool = False) -> SweepRecord:
 
 def _work(cases: list[tuple[PrimeContext, list[int]]],
           with_expsums: bool) -> int:
-    """The estimated in-process cost of a sweep's cases, in the units of
-    the constants above."""
+    """W, the work of a sweep's cases that a pool worker would take over.
+
+    W sums |R| = (p - 1)/n over the cases whose |R| fits the enumeration
+    cap and, with expsums, (p - 1)/_EXPSUM_DIVISOR for the phase table and
+    for each profile of a prime whose p - 1 fits it.  What the cap skips
+    costs next to nothing, and the parent's own work per prime is not
+    counted: a pool does not take it over.
+    """
+    # read only when a case would read it too, so that a bad cap fails
+    # alike at any worker count
+    cap = _enum_cap() if any(ns for _, ns in cases) else 0
     work = 0
     for ctx, ns in cases:
         m = ctx.p - 1
-        work += _PRIME_WORK + sum(m // n for n in ns)
-        if with_expsums and ns:
+        work += sum(m // n for n in ns if m // n <= cap)
+        if with_expsums and ns and m <= cap:
             work += (len(ns) + 1) * m // _EXPSUM_DIVISOR
     return work
 
@@ -288,11 +294,9 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     At most config.workers processes run the sweep, and no more than it
     has primes or than there are CPUs this process may run on.  A pool is
     started only when that leaves two or more and the work estimate W
-    reaches _POOL_MIN_WORK; otherwise the sweep runs in-process.  W sums,
-    over the primes, _PRIME_WORK plus |R| = (p - 1)/n for each of the
-    prime's cases and, with expsums, (p - 1)/_EXPSUM_DIVISOR for its phase
-    table and for each case's profile.  The choice reads the config, its
-    primes and the CPU count, never a clock, and either way the records are
+    (see _work) reaches _POOL_MIN_WORK; otherwise the sweep runs
+    in-process.  The choice reads the config, its primes, the enumeration
+    cap and the CPU count, never a clock, and either way the records are
     the same.
     """
     primes = _primes(config)

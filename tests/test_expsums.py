@@ -216,7 +216,7 @@ def test_phase_table_cap_and_bad_order(ctx13, monkeypatch):
         phase_table(ctx13)
     monkeypatch.delenv("POWRES_ENUM_CAP")
     table = phase_table(ctx13)
-    for d in (0, 5, 24):
+    for d in (0, 5, 24, True, 3.0):
         with pytest.raises(BadN):
             expsum_profile(table, d)
 
@@ -313,10 +313,9 @@ def test_interval_expsum_examples():
 
 
 def test_interval_expsum_radius_validation():
-    with pytest.raises(BadRadius):
-        interval_expsum(13, 1, 0)
-    with pytest.raises(BadRadius):
-        interval_expsum(13, 1, 7)
+    for K in (0, 7, True, 3.0):
+        with pytest.raises(BadRadius):
+            interval_expsum(13, 1, K)
 
 
 @given(st.sampled_from([p for p in primes_up_to(997) if p >= 5]),

@@ -45,6 +45,9 @@ def test_roots_of_unity_subgroup_examples(ctx7, ctx13):
         roots_of_unity_subgroup(ctx13, 5)  # 5 does not divide 12
     with pytest.raises(BadN):
         roots_of_unity_subgroup(ctx13, -3)
+    for n in (True, 3.0):  # a bool or a float is not an int n
+        with pytest.raises(BadN):
+            roots_of_unity_subgroup(ctx13, n)
 
 
 def test_power_residue_subgroup_examples(ctx7, ctx11, ctx13):
@@ -339,8 +342,9 @@ def test_chowla_london_bounds_examples():
     assert chowla_london_bounds(7, 3) == (Fraction(1), Fraction(7, 3))
     # n = 1 degenerates the upper bound; kept out of the verification suite
     assert chowla_london_bounds(7, 1) == (Fraction(3), Fraction(0))
-    with pytest.raises(BadN):
-        chowla_london_bounds(13, 4)
+    for n in (4, True, 3.0):
+        with pytest.raises(BadN):
+            chowla_london_bounds(13, n)
 
 
 def test_bounds_are_exact_rationals():

@@ -369,16 +369,40 @@ def estimate(config):
 
 def test_pool_starts_only_above_the_work_estimate(monkeypatch, fake_pool):
     two_usable_cpus(monkeypatch)
-    # a window of the growth benchmark: ~800 primes with |R| of a few units
-    growth = SweepConfig(p_min=150000, p_max=160000, epsilon=1 / 3,
-                         n_policy="largest_odd_divisor", workers=2)
-    divisors = SweepConfig(p_min=4000, p_max=6000, workers=2)
-    assert estimate(growth) < sweep._POOL_MIN_WORK <= estimate(divisors)
-    for config, sizes in ((growth, []), (divisors, [2])):
+    largest = dict(epsilon=1 / 3, n_policy="largest_odd_divisor", workers=2)
+    fixed = dict(p_min=5, n_policy="fixed_n", fixed_n=15, workers=2)
+    # (config, POWRES_ENUM_CAP, pool sizes).  Growth windows have many
+    # primes with |R| of a few units each, and the parent's work per prime
+    # is not counted; cases the cap skips count nothing either.
+    windows = (
+        (SweepConfig(p_min=150000, p_max=160000, **largest), None, []),
+        (SweepConfig(p_min=1000, p_max=50000, **largest), None, []),
+        (SweepConfig(p_max=20000, **fixed), "64", []),
+        (SweepConfig(p_min=4000, p_max=6000, workers=2), None, [2]),
+        (SweepConfig(p_max=60000, **fixed), "2000", [2]),  # 345 of 747 skip
+    )
+    for config, cap, sizes in windows:
+        if cap is None:
+            monkeypatch.delenv("POWRES_ENUM_CAP", raising=False)
+        else:
+            monkeypatch.setenv("POWRES_ENUM_CAP", cap)
+        assert (estimate(config) >= sweep._POOL_MIN_WORK) == bool(sizes)
         fake_pool.clear()
         serial = run_sweep(dataclasses.replace(config, workers=1))
         assert run_sweep(config) == serial
         assert fake_pool == sizes, config
+
+
+def test_bad_cap_fails_alike_at_any_worker_count(monkeypatch, fake_pool):
+    two_usable_cpus(monkeypatch)
+    monkeypatch.setenv("POWRES_ENUM_CAP", "abc")
+    no_cases = SweepConfig(p_min=5, p_max=50, n_policy="fixed_n",
+                           fixed_n=9999)
+    for workers in (1, 2):
+        assert run_sweep(dataclasses.replace(no_cases, workers=workers)) == []
+        with pytest.raises(ValueError, match="POWRES_ENUM_CAP"):
+            run_sweep(SweepConfig(p_min=5, p_max=50, workers=workers))
+    assert fake_pool == []
 
 
 def test_work_estimate_counts_expsum_work_by_p():

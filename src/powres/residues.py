@@ -13,7 +13,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import (BadN, BadResidue, InvariantViolation, NotEnumerated,
                      NotResidue)
@@ -193,10 +193,19 @@ class KResult:
         return chowla_london_bounds(self.p, self.n)[1]
 
 
+def _bound_cells(p: int, n: int) -> tuple[int, int, int, int]:
+    """The numerators and denominators, in lowest terms, of the sandwich
+    bounds (p-1)/(2n) and (n-1)p/(2n): integers only, no Fraction."""
+    _require_valid_n(p, n)
+    lower, upper, den = p - 1, (n - 1) * p, 2 * n
+    g, h = gcd(lower, den), gcd(upper, den)
+    return lower // g, den // g, upper // h, den // h
+
+
 def chowla_london_bounds(p: int, n: int) -> tuple[Fraction, Fraction]:
     """Exact rationals ((p-1)/(2n), (1/2 - 1/(2n)) * p); no floating point."""
-    _require_valid_n(p, n)
-    return Fraction(p - 1, 2 * n), Fraction((n - 1) * p, 2 * n)
+    lower_num, lower_den, upper_num, upper_den = _bound_cells(p, n)
+    return Fraction(lower_num, lower_den), Fraction(upper_num, upper_den)
 
 
 # Least prime factor of each x below its length, 0 at primes (and at 0 and 1).
@@ -231,33 +240,49 @@ def compute_k(ctx: PrimeContext, n: int) -> KResult:
     r = x**n: n is odd, so p - r = (-x)**n, and the n-th power residues
     pair up into |R|/2 folded values, |R| = (p - 1)/n.  The scan stops at
     the exact covering index, the first x at which all |R|/2 are marked.
-    x -> x**n is multiplicative, so below x = 2|R| a composite x with least
-    prime factor q takes r = (x/q)**n * q**n mod p from the stored powers
-    and only a prime x takes a modular exponentiation; from 2|R| on every x
-    takes one.  The shared least-factor table is grown by doubling as the
-    scan reaches its end.  Memory is O(|R|), with |R| within the
-    enumeration cap: at most 2|R| stored powers, a table of at most 4|R|
-    entries (for the largest |R| scanned in the process), and marks in a
-    bytearray of (p + 1)/2 <= 16|R| + 1 bytes when n <= 32, in a dict of at
-    most |R|/2 keys otherwise.  The KResult refuses a k outside the
-    sandwich.
+    x -> x**n is multiplicative, so a composite x with least prime factor
+    q may take r = (x/q)**n * q**n mod p from stored powers; the scan runs
+    in three regimes.  Below 2|R| every r is stored, and only x = 1 and
+    a prime x take a modular exponentiation.  From 2|R| up to stop, the
+    largest power of two <= 4|R|, a composite x still finds both factors
+    stored (q <= x/q <= x/2 < 2|R|) and nothing more is stored; a prime x
+    takes an exponentiation.  From stop on every x takes one.  The shared
+    least-factor table is grown by doubling as the scan reaches its end,
+    never past stop.  Memory is O(|R|), with |R| within the enumeration
+    cap: at most 2|R| stored powers, a table of at most 4|R| entries (for
+    the largest |R| scanned in the process), and marks in a bytearray of
+    (p + 1)/2 <= 16|R| + 1 bytes when n <= 32, in a dict of at most |R|/2
+    keys otherwise.  The KResult refuses a k outside the sandwich.
     """
     p = ctx.p
     _require_valid_n(p, n)
     size = (p - 1) // n
     _require_enumerable(size, "residue subgroup")
-    stop = 2 * size
+    keep = 2 * size
+    stop = 1 << ((4 * size).bit_length() - 1)
     h = p // 2
     marks = bytearray(h + 1) if n <= 32 else defaultdict(int)
     unmarked = size // 2
     stored = [0]
     x = 0
+    while unmarked and x < keep - 1:
+        least = _least_factors(x + 2)
+        for x in range(x + 1, min(len(least), keep)):
+            q = least[x]
+            r = stored[x // q] * stored[q] % p if q else pow(x, n, p)
+            stored.append(r)
+            if r > h:
+                r = p - r
+            if not marks[r]:
+                marks[r] = 1
+                unmarked -= 1
+                if not unmarked:
+                    break
     while unmarked and x < stop - 1:
         least = _least_factors(x + 2)
         for x in range(x + 1, min(len(least), stop)):
             q = least[x]
             r = stored[x // q] * stored[q] % p if q else pow(x, n, p)
-            stored.append(r)
             if r > h:
                 r = p - r
             if not marks[r]:

@@ -39,7 +39,8 @@ from .errors import EmptyRange, InvariantViolation, ScaleLimit
 from .expsums import PhaseTable, _delta, expsum_profile, phase_table
 from .modmath import (SIEVE_CAP, PrimeContext, build_prime_context,
                       factorize, primes_between)
-from .residues import KResult, _enum_cap, chowla_london_bounds, compute_k
+from .residues import (KResult, _bound_cells, _enum_cap, chowla_london_bounds,
+                       compute_k)
 
 N_POLICIES = ("all_odd_divisors", "largest_odd_divisor", "fixed_n")
 
@@ -344,33 +345,33 @@ def fit_exponent(records: list[SweepRecord]) -> FitResult | None:
                      r_squared=r_squared, n_points=len(points))
 
 
+def _exact_cells(rec: SweepRecord | KResult) -> list[int | None]:
+    if rec.k is None:
+        return [rec.p, rec.n, None, None, None, None, None]
+    return [rec.p, rec.n, rec.k, *_bound_cells(rec.p, rec.n)]
+
+
 def exact_fields(rec: SweepRecord | KResult) -> dict[str, int | None]:
     """p, n, k and the sandwich bounds as exact numerator/denominator pairs
     (None when k is): the leading fields of a sweep row and of compute."""
-    cells = [rec.p, rec.n, rec.k, None, None, None, None]
-    if rec.k is not None:
-        lower, upper = chowla_london_bounds(rec.p, rec.n)
-        cells[3:] = *lower.as_integer_ratio(), *upper.as_integer_ratio()
-    return dict(zip(CSV_COLUMNS, cells))
+    return dict(zip(CSV_COLUMNS, _exact_cells(rec)))
 
 
-def _field_values(rec: SweepRecord) -> dict[str, object]:
-    return {**exact_fields(rec), "normalized": rec.normalized,
-            "max_expsum_ratio": rec.max_expsum_ratio,
-            "delta_emp": rec.delta_emp, "elapsed_ms": None}
+def _row(rec: SweepRecord) -> list[object]:
+    """The cells of one record in CSV_COLUMNS order, None where absent;
+    the one row builder of both formats."""
+    return [*_exact_cells(rec), rec.normalized, rec.max_expsum_ratio,
+            rec.delta_emp, None]
 
 
 def _write_rows(fh, records: list[SweepRecord], fmt: str) -> None:
     if fmt == "csv":
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            values = _field_values(rec)
-            writer.writerow(["" if values[c] is None else values[c]
-                             for c in CSV_COLUMNS])
+        writer.writerows(map(_row, records))  # None writes as ""
     else:
         for rec in records:
-            obj = _field_values(rec)
+            obj = dict(zip(CSV_COLUMNS, _row(rec)))
             obj["skip_reason"] = rec.skip_reason
             fh.write(json.dumps(obj) + "\n")
 

@@ -299,11 +299,59 @@ def test_compute_k_both_mark_containers(monkeypatch):
 
 
 def test_compute_k_past_the_stored_powers():
-    # k >= 2|R|: the scan runs on with plain pow beyond the stored powers
+    # k >= 2|R|: the scan runs on beyond the stored powers
     for p, n in ((233, 29), (241, 15), (487, 9)):
         k = compute_k(build_prime_context(p), n).k
         assert k >= 2 * (p - 1) // n
         assert k == k_by_direct_scan(p, n), (p, n)
+
+
+# (p, n) with k in each regime of the scan: below 2|R|, in [2|R|, stop)
+# with stop the largest power of two <= 4|R|, and from stop on
+SCAN_REGIME_CASES = (
+    ((13, 3), (311, 31), (10009, 3)),
+    ((233, 29), (241, 15), (487, 9)),
+    ((701, 25), (883, 63), (1021, 17), (1399, 233), (1621, 45)),
+)
+
+
+def _scan_stop(p, n):
+    return 1 << ((4 * (p - 1) // n).bit_length() - 1)
+
+
+@pytest.mark.parametrize("regime", range(3))
+def test_compute_k_in_each_scan_regime(monkeypatch, regime):
+    for p, n in SCAN_REGIME_CASES[regime]:
+        monkeypatch.setattr(residues, "_LEAST_FACTOR", [0, 0])
+        k = compute_k(build_prime_context(p), n).k
+        assert k == k_by_direct_scan(p, n), (p, n)
+        size, stop = (p - 1) // n, _scan_stop(p, n)
+        assert stop & (stop - 1) == 0 and 2 * size < stop <= 4 * size
+        assert [k < 2 * size, 2 * size <= k < stop, stop <= k] == \
+            [i == regime for i in range(3)], (p, n, k)
+        assert len(residues._LEAST_FACTOR) <= stop, (p, n)
+
+
+def test_compute_k_takes_pow_only_at_primes_below_stop(monkeypatch):
+    # x = 1 and each prime x below stop take one pow, as does every x from
+    # stop on; a composite below stop reads the stored powers
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(residues, "pow", counted, raising=False)
+    for cases in SCAN_REGIME_CASES:
+        for p, n in cases:
+            monkeypatch.setattr(residues, "_LEAST_FACTOR", [0, 0])
+            ctx = build_prime_context(p)
+            calls.clear()
+            k = compute_k(ctx, n).k
+            stop = _scan_stop(p, n)
+            expected = (1 + len(primes_up_to(min(k, stop - 1)))
+                        + max(0, k - stop + 1))
+            assert len(calls) == expected, (p, n, k)
 
 
 def test_compute_k_from_a_reset_table(monkeypatch):

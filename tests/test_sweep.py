@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -13,9 +14,11 @@ import pytest
 
 from powres import (SIEVE_CAP, DecompositionResult, EmptyRange,
                     ExpSumProfile, FitResult, KResult, ScaleLimit,
-                    SweepConfig, SweepRecord, enumerate_cases, fit_exponent,
-                    modmath, odd_divisors, primes_up_to, read_records,
-                    run_case, run_sweep, sweep, write_records)
+                    SweepConfig, SweepRecord, build_prime_context, compute_k,
+                    enumerate_cases, fit_exponent, modmath, odd_divisors,
+                    primes_up_to, read_records, run_case, run_sweep, sweep,
+                    write_records)
+from powres.cli import main
 from powres.expsums import empirical_delta, expsum_profile, phase_table
 from powres.sweep import CSV_COLUMNS, FORMATS
 
@@ -494,6 +497,76 @@ def test_write_records_csv_layout(tmp_path):
     write_records(records, path, "csv")
     lines = open(path, encoding="utf-8").read().splitlines()
     assert lines[1] == "13,3,2,2,1,13,3,1.0,,,"
+
+
+def _oracle_bytes(records, fmt):
+    """write_records' bytes, with the bound cells taken from Fractions."""
+    rows = []
+    for rec in records:
+        bounds = [None] * 4
+        if rec.k is not None:
+            lower = Fraction(rec.p - 1, 2 * rec.n)
+            upper = Fraction((rec.n - 1) * rec.p, 2 * rec.n)
+            bounds = [lower.numerator, lower.denominator,
+                      upper.numerator, upper.denominator]
+        rows.append([rec.p, rec.n, rec.k, *bounds, rec.normalized,
+                     rec.max_expsum_ratio, rec.delta_emp, None])
+    if fmt == "csv":
+        return "".join(",".join("" if v is None else str(v) for v in row)
+                       + "\n" for row in [CSV_COLUMNS, *rows]).encode()
+    return "".join(json.dumps({**dict(zip(CSV_COLUMNS, row)),
+                               "skip_reason": rec.skip_reason}) + "\n"
+                   for row, rec in zip(rows, records)).encode()
+
+
+def test_rows_match_a_fraction_oracle(tmp_path, monkeypatch):
+    sweeps = [run_sweep(SweepConfig(p_min=5, p_max=600, n_min=1,
+                                    with_expsums=True)),
+              run_sweep(SweepConfig(p_min=200000, p_max=210000,
+                                    n_policy="largest_odd_divisor",
+                                    epsilon=1 / 3))]
+    monkeypatch.setenv("POWRES_ENUM_CAP", "64")
+    sweeps.append(run_sweep(SweepConfig(p_min=5, p_max=1000,
+                                        with_expsums=True)))
+    assert any(rec.n == 1 and rec.upper_exclusive == 0 for rec in sweeps[0])
+    assert any(rec.skip_reason for rec in sweeps[2])
+    for records in sweeps:
+        for fmt in FORMATS:
+            path = tmp_path / f"rows.{fmt}"
+            write_records(records, str(path), fmt)
+            assert path.read_bytes() == _oracle_bytes(records, fmt), fmt
+
+
+def test_exact_fields_match_a_fraction_oracle():
+    for p, n in ((13, 1), (601, 1), (13, 3), (601, 5), (601, 75),
+                 (1621, 45)):
+        result = compute_k(build_prime_context(p), n)
+        lower = Fraction(p - 1, 2 * n)
+        upper = Fraction((n - 1) * p, 2 * n)
+        assert sweep.exact_fields(result) == {
+            "p": p, "n": n, "k": result.k,
+            "lower_num": lower.numerator, "lower_den": lower.denominator,
+            "upper_num": upper.numerator, "upper_den": upper.denominator}
+
+
+# SHA-256 of k-only sweep outputs at an earlier commit; their rows hold no
+# float that libm computes, so the bytes are the same on every Python
+PINNED_SWEEPS = (
+    (["--p-min", "1000", "--p-max", "20000", "--policy",
+      "largest_odd_divisor", "--epsilon", "0.3333"],
+     "9d4037fab8672b12a41af5db196ac8205e1b9b573c21f80cf1793bdaf05b7be6"),
+    (["--p-max", "3000", "--n-min", "1"],
+     "9c298e70decbc70ce90e760386a77d8b868baa8e9a192d2385f8a22b44e95dbd"),
+    (["--p-max", "3000", "--n-min", "1", "--format", "jsonl"],
+     "7064605720a67b0dce4bbd702a1c64e7b92a3cdbad13f98ae0f5765140b7417e"),
+)
+
+
+@pytest.mark.parametrize("args, digest", PINNED_SWEEPS)
+def test_default_sweep_bytes_are_pinned(tmp_path, capsys, args, digest):
+    out = tmp_path / "out"
+    assert main(["sweep", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_write_records_lf_endings(tmp_path):

@@ -12,18 +12,17 @@ from .errors import (BadN, BadRadius, BadResidue, EmptyRange,
                      InvariantViolation, NotEnumerated, NotPrime, NotResidue,
                      PowresError, ScaleLimit, TooSmall, ZeroFrequency)
 from .expsums import (DecompositionResult, ExpSumProfile, PhaseTable,
-                      count_solutions_in_interval, empirical_delta,
-                      expsum_profile, harmonic_bound_check, interval_bound,
-                      interval_expsum, orthogonality_decomposition,
-                      phase_table, subgroup_expsum)
+                      empirical_delta, expsum_profile, harmonic_bound_check,
+                      interval_bound, interval_expsum,
+                      orthogonality_decomposition, phase_table)
 from .modmath import (MODULUS_CAP, SIEVE_CAP, PrimeContext,
                       build_prime_context, factorize, is_prime, primes_up_to)
-from .residues import (ENUM_CAP_DEFAULT, KResult, brute_force_k,
-                       chowla_london_bounds, compute_k, is_nth_residue,
-                       nth_root_solutions, power_residue_subgroup,
-                       principal_nth_root, roots_of_unity_subgroup)
+from .residues import (ENUM_CAP_DEFAULT, KResult, chowla_london_bounds,
+                       compute_k, is_nth_residue, nth_root_solutions,
+                       power_residue_subgroup, principal_nth_root,
+                       roots_of_unity_subgroup)
 from .sweep import (CSV_COLUMNS, FitResult, SweepConfig, SweepRecord,
-                    enumerate_cases, fit_exponent, odd_divisors,
-                    read_records, run_case, run_sweep, write_records)
+                    enumerate_cases, fit_exponent, read_records, run_case,
+                    run_sweep, write_records)
 
 __version__ = "0.1.0"

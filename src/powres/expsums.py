@@ -33,20 +33,12 @@ from operator import add, indexOf, mul, sub, truediv
 
 from .errors import BadN, BadRadius, InvariantViolation, ZeroFrequency
 from .modmath import PrimeContext, powers
-from .residues import (_require_enumerable, _root_coset, nth_root_solutions,
-                       principal_nth_root)
+from .residues import _require_enumerable, _root_coset, principal_nth_root
 
 
 def _check_radius(p: int, K: int) -> None:
     if type(K) is not int or K < 1 or K > (p - 1) // 2:
         raise BadRadius(f"K must be an integer in [1, {(p - 1) // 2}], got {K}")
-
-
-def subgroup_expsum(p: int, H: tuple[int, ...], a: int) -> complex:
-    """S(a, H) = sum of e(a*h/p) over the enumerated subgroup H of F_p^*."""
-    a %= p
-    angles = [2.0 * pi * ((a * h) % p) / p for h in H]
-    return complex(fsum(map(cos, angles)), fsum(map(sin, angles)))
 
 
 @dataclass(frozen=True)
@@ -244,23 +236,6 @@ def harmonic_bound_check(p: int) -> tuple[float, float, bool]:
     return lhs, rhs, lhs <= rhs
 
 
-def _count_within(p: int, roots: set[int], K: int) -> int:
-    return sum(1 for s in roots if s <= K or p - s <= K)
-
-
-def count_solutions_in_interval(ctx: PrimeContext, n: int, m: int,
-                                K: int) -> int:
-    """Exact number of solutions of x**n == m with 1 <= |x| <= K.
-
-    Each root s in [1, p-1] meets the symmetric interval iff s <= K
-    (positive representative) or p - s <= K (negative representative);
-    with 2K <= p - 1 the two cases are exclusive.
-    """
-    _check_radius(ctx.p, K)
-    roots = nth_root_solutions(ctx, n, m)
-    return _count_within(ctx.p, roots, K)
-
-
 @dataclass(frozen=True)
 class DecompositionResult:
     """Orthogonality split of the root count over 1 <= |x| <= K.
@@ -309,6 +284,7 @@ def orthogonality_decomposition(ctx: PrimeContext, n: int, m: int,
         raise InvariantViolation(
             f"error sum has imaginary part {imag_residue:.3e}, not ~0")
     main_term = (n / p) * 2.0 * K
-    exact = _count_within(p, _root_coset(ctx, n, x0), K)
+    # a root s meets 1 <= |x| <= K as s or as s - p, never both (2K < p)
+    exact = sum(1 for s in _root_coset(ctx, n, x0) if s <= K or p - s <= K)
     return DecompositionResult(m=m % p, K=K, exact_count=exact,
                                main_term=main_term, error_term=error_term)

@@ -247,8 +247,8 @@ def compute_k(ctx: PrimeContext, n: int) -> KResult:
     largest power of two <= 4|R|, a composite x still finds both factors
     stored (q <= x/q <= x/2 < 2|R|) and nothing more is stored; a prime x
     takes an exponentiation.  From stop on every x takes one.  The shared
-    least-factor table is grown by doubling as the scan reaches its end,
-    never past stop.  Memory is O(|R|), with |R| within the enumeration
+    least-factor table is grown to stop, and never past it, before the
+    scan starts.  Memory is O(|R|), with |R| within the enumeration
     cap: at most 2|R| stored powers, a table of at most 4|R| entries (for
     the largest |R| scanned in the process), and marks in a bytearray of
     (p + 1)/2 <= 16|R| + 1 bytes when n <= 32, in a dict of at most |R|/2
@@ -263,24 +263,21 @@ def compute_k(ctx: PrimeContext, n: int) -> KResult:
     h = p // 2
     marks = bytearray(h + 1) if n <= 32 else defaultdict(int)
     unmarked = size // 2
+    least = _least_factors(stop)
     stored = [0]
-    x = 0
-    while unmarked and x < keep - 1:
-        least = _least_factors(x + 2)
-        for x in range(x + 1, min(len(least), keep)):
-            q = least[x]
-            r = stored[x // q] * stored[q] % p if q else pow(x, n, p)
-            stored.append(r)
-            if r > h:
-                r = p - r
-            if not marks[r]:
-                marks[r] = 1
-                unmarked -= 1
-                if not unmarked:
-                    break
-    while unmarked and x < stop - 1:
-        least = _least_factors(x + 2)
-        for x in range(x + 1, min(len(least), stop)):
+    for x in range(1, keep):
+        q = least[x]
+        r = stored[x // q] * stored[q] % p if q else pow(x, n, p)
+        stored.append(r)
+        if r > h:
+            r = p - r
+        if not marks[r]:
+            marks[r] = 1
+            unmarked -= 1
+            if not unmarked:
+                break
+    if unmarked:
+        for x in range(keep, stop):
             q = least[x]
             r = stored[x // q] * stored[q] % p if q else pow(x, n, p)
             if r > h:
@@ -299,21 +296,3 @@ def compute_k(ctx: PrimeContext, n: int) -> KResult:
             marks[r] = 1
             unmarked -= 1
     return KResult(p=p, n=n, k=x)
-
-
-def brute_force_k(ctx: PrimeContext, n: int) -> int:
-    """Definitional oracle for k(p, n): naive, no shared state with compute_k.
-
-    For each candidate k the set {x**n mod p : 1 <= |x| <= k} is rebuilt
-    from scratch and compared against the full residue set.  Quadratic by
-    design; intended for p < 10**5.
-    """
-    _require_valid_n(ctx.p, n)
-    p = ctx.p
-    target = {pow(x, n, p) for x in range(1, p)}
-    for k in range(1, (p - 1) // 2 + 1):
-        hit = {pow(x, n, p) for x in range(1, k + 1)}
-        hit |= {pow(p - x, n, p) for x in range(1, k + 1)}
-        if len(hit) == len(target):
-            return k
-    raise InvariantViolation("k = (p-1)/2 did not cover the residue set")

@@ -38,7 +38,7 @@ from tempfile import TemporaryFile
 from .errors import EmptyRange, InvariantViolation, ScaleLimit
 from .expsums import PhaseTable, _delta, expsum_profile, phase_table
 from .modmath import (SIEVE_CAP, PrimeContext, build_prime_context,
-                      factorize, primes_between)
+                      primes_between)
 from .residues import (KResult, _bound_cells, _enum_cap, chowla_london_bounds,
                        compute_k)
 
@@ -177,11 +177,6 @@ def _odd_divisors_of(factors) -> list[int]:
             continue
         divisors = [d * q**i for d in divisors for i in range(e + 1)]
     return sorted(divisors)
-
-
-def odd_divisors(m: int) -> list[int]:
-    """Ascending odd divisors of m (the divisors of m's odd part)."""
-    return _odd_divisors_of(factorize(m))
 
 
 def _case_ns(ctx: PrimeContext, config: SweepConfig) -> list[int]:

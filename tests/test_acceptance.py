@@ -11,10 +11,10 @@ import math
 import random
 from math import fsum
 
-from powres import (SweepConfig, build_prime_context, brute_force_k,
-                    compute_k, expsum_profile, fit_exponent,
-                    harmonic_bound_check, interval_bound, interval_expsum,
-                    nth_root_solutions, odd_divisors,
+from oracles import brute_force_k, odd_divisors
+from powres import (SweepConfig, build_prime_context, compute_k,
+                    expsum_profile, fit_exponent, harmonic_bound_check,
+                    interval_bound, interval_expsum, nth_root_solutions,
                     orthogonality_decomposition, phase_table, primes_up_to,
                     run_sweep, sweep, write_records)
 

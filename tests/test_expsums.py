@@ -8,14 +8,13 @@ from math import fsum
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import odd_divisors, subgroup_expsum
 from powres import (BadN, BadRadius, NotEnumerated, NotResidue, ScaleLimit,
-                    ZeroFrequency, build_prime_context,
-                    count_solutions_in_interval, empirical_delta,
+                    ZeroFrequency, build_prime_context, empirical_delta,
                     expsum_profile, harmonic_bound_check, interval_bound,
-                    interval_expsum, odd_divisors,
-                    orthogonality_decomposition, phase_table,
-                    power_residue_subgroup, primes_up_to,
-                    roots_of_unity_subgroup, subgroup_expsum)
+                    interval_expsum, orthogonality_decomposition,
+                    phase_table, power_residue_subgroup, primes_up_to,
+                    roots_of_unity_subgroup)
 from powres.modmath import powers
 from powres.residues import _subgroup_of_order
 
@@ -365,14 +364,18 @@ def test_harmonic_terms_symmetric():
         assert abs(p / min(r, p - r) - p / min(p - r, r)) == 0.0
 
 
+def exact_count(ctx, n, m, K):
+    return orthogonality_decomposition(ctx, n, m, K).exact_count
+
+
 def test_count_solutions_examples(ctx13):
-    assert count_solutions_in_interval(ctx13, 3, 8, 2) == 1
-    assert count_solutions_in_interval(ctx13, 3, 8, 6) == 3
-    assert count_solutions_in_interval(ctx13, 3, 1, 6) == 3
+    assert exact_count(ctx13, 3, 8, 2) == 1
+    assert exact_count(ctx13, 3, 8, 6) == 3
+    assert exact_count(ctx13, 3, 1, 6) == 3
     with pytest.raises(NotResidue):
-        count_solutions_in_interval(ctx13, 3, 2, 3)
+        exact_count(ctx13, 3, 2, 3)
     with pytest.raises(BadRadius):
-        count_solutions_in_interval(ctx13, 3, 8, 0)
+        exact_count(ctx13, 3, 8, 0)
 
 
 def test_count_matches_signed_scan():
@@ -385,7 +388,7 @@ def test_count_matches_signed_scan():
         K = rng.randrange(1, (p - 1) // 2 + 1)
         direct = sum(1 for x in range(-K, K + 1)
                      if x != 0 and pow(x % p, n, p) == m)
-        assert count_solutions_in_interval(ctx, n, m, K) == direct
+        assert exact_count(ctx, n, m, K) == direct
 
 
 def test_decomposition_examples(ctx13):

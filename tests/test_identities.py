@@ -14,8 +14,8 @@ import random
 from collections import Counter
 from itertools import accumulate, repeat
 
-from powres import (PrimeContext, SweepConfig, compute_k, odd_divisors,
-                    run_sweep)
+from oracles import odd_divisors
+from powres import PrimeContext, SweepConfig, compute_k, run_sweep
 
 
 def primes_below(limit):

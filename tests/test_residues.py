@@ -6,11 +6,11 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import brute_force_k, odd_divisors
 from powres import (BadN, BadResidue, InvariantViolation, KResult,
                     NotEnumerated, NotResidue, PrimeContext, ScaleLimit,
-                    brute_force_k,
                     build_prime_context, chowla_london_bounds, compute_k,
-                    is_nth_residue, nth_root_solutions, odd_divisors,
+                    is_nth_residue, nth_root_solutions,
                     power_residue_subgroup, primes_up_to, principal_nth_root,
                     roots_of_unity_subgroup)
 from powres import residues

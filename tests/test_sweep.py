@@ -12,12 +12,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import odd_divisors
 from powres import (SIEVE_CAP, DecompositionResult, EmptyRange,
                     ExpSumProfile, FitResult, KResult, ScaleLimit,
                     SweepConfig, SweepRecord, build_prime_context, compute_k,
-                    enumerate_cases, fit_exponent, modmath, odd_divisors,
-                    primes_up_to, read_records, run_case, run_sweep, sweep,
-                    write_records)
+                    enumerate_cases, fit_exponent, modmath, primes_up_to,
+                    read_records, run_case, run_sweep, sweep, write_records)
 from powres.cli import main
 from powres.expsums import empirical_delta, expsum_profile, phase_table
 from powres.sweep import CSV_COLUMNS, FORMATS
@@ -59,13 +59,16 @@ def two_usable_cpus(monkeypatch):
 
 
 def test_odd_divisors():
-    assert odd_divisors(12) == [1, 3]
-    assert odd_divisors(1) == [1]
-    assert odd_divisors(2**10) == [1]
-    assert odd_divisors(45) == [1, 3, 5, 9, 15, 45]
+    # the list the all_odd_divisors policy reads, from factorize's output
+    def listed(m):
+        return sweep._odd_divisors_of(modmath.factorize(m))
+
+    assert listed(12) == [1, 3]
+    assert listed(1) == [1]
+    assert listed(2**10) == [1]
+    assert listed(45) == [1, 3, 5, 9, 15, 45]
     for m in (12, 360, 1998):
-        assert odd_divisors(m) == [d for d in range(1, m + 1, 2)
-                                   if m % d == 0]
+        assert listed(m) == [d for d in range(1, m + 1, 2) if m % d == 0]
 
 
 def test_enumerate_cases_examples():
@@ -144,7 +147,8 @@ def test_config_rejects_bad_sizes():
 
 def old_case_ns(p, config):
     """The derivation before each policy named its n: every odd divisor of
-    p - 1, cut to the policy, then the n_min and epsilon filters."""
+    p - 1 (from the trial-division oracle), cut to the policy, then the
+    n_min and epsilon filters."""
     candidates = odd_divisors(p - 1)
     if config.n_policy == "largest_odd_divisor":
         candidates = candidates[-1:]
@@ -256,8 +260,7 @@ def test_one_context_and_one_factorisation_per_prime(monkeypatch, fake_pool):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in ((modmath, "factorize"), (sweep, "factorize"),
-                         (sweep, "PrimeContext")):
+    for module, name in ((modmath, "factorize"), (sweep, "PrimeContext")):
         count(module, name)
     primes = [p for p in primes_up_to(2000) if p >= 5]
     # only the list of all odd divisors reads the factors of p - 1

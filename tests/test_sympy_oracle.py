@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from oracles import odd_divisors
 from powres import (build_prime_context, factorize, nth_root_solutions,
-                    odd_divisors, primes_up_to)
+                    primes_up_to)
 from powres.residues import _pohlig_hellman_log
 
 sympy = pytest.importorskip("sympy")

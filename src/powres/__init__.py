@@ -13,10 +13,10 @@ from .errors import (BadN, BadRadius, BadResidue, EmptyRange,
                      PowresError, ScaleLimit, TooSmall, ZeroFrequency)
 from .expsums import (DecompositionResult, ExpSumProfile, PhaseTable,
                       empirical_delta, expsum_profile, harmonic_bound_check,
-                      interval_bound, interval_expsum,
-                      orthogonality_decomposition, phase_table)
+                      interval_bound, orthogonality_decomposition,
+                      phase_table)
 from .modmath import (MODULUS_CAP, SIEVE_CAP, PrimeContext,
-                      build_prime_context, factorize, is_prime, primes_up_to)
+                      build_prime_context, factorize, is_prime)
 from .residues import (ENUM_CAP_DEFAULT, KResult, chowla_london_bounds,
                        compute_k, is_nth_residue, nth_root_solutions,
                        power_residue_subgroup, principal_nth_root,

@@ -189,25 +189,13 @@ def _delta(max_ratio: float, p: int, d: int) -> float | None:
 
 
 def _dirichlet(p: int, r: int, K: int) -> float:
-    """D(r, K) for an r already reduced mod p and a K already checked."""
+    """D(r, K) = sum over 1 <= |x| <= K of e(-r*x/p), real by +-x pairing,
+    for 0 <= r < p and a checked K: sin((2K+1)*pi*r/p) / sin(pi*r/p) - 1,
+    or 2K at r = 0, with (2K+1)*r reduced mod 2p in integers first."""
     if r == 0:
         return float(2 * K)
     t = (2 * K + 1) * r % (2 * p)
     return sin(pi * t / p) / sin(pi * r / p) - 1.0
-
-
-def interval_expsum(p: int, r: int, K: int) -> float:
-    """D(r, K) = sum over 1 <= |x| <= K of e(-r*x/p).
-
-    Closed form: the Dirichlet kernel sin((2K+1)*pi*r/p) / sin(pi*r/p)
-    minus the x = 0 term, or 2K when r == 0 mod p.  The +-x pairing makes
-    the sum real, so it is returned as a float.  The kernel
-    argument is reduced mod 2p in integer arithmetic first, keeping the
-    value accurate near the zeros of the numerator.  Each call checks K;
-    orthogonality_decomposition checks it once for all p - 1 frequencies.
-    """
-    _check_radius(p, K)
-    return _dirichlet(p, r % p, K)
 
 
 def interval_bound(p: int, r: int, K: int) -> float:

@@ -60,11 +60,6 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n."""
-    return primes_between(2, n)
-
-
 def primes_between(lo: int, hi: int) -> list[int]:
     """All primes in [lo, hi], by a byte sieve of that window alone.
 
@@ -75,7 +70,7 @@ def primes_between(lo: int, hi: int) -> list[int]:
     if hi < lo:
         return []
     sieve = bytearray([1]) * (hi - lo + 1)
-    for q in primes_up_to(isqrt(hi)):
+    for q in primes_between(2, isqrt(hi)):
         start = max(q * q, -(-lo // q) * q)
         sieve[start - lo :: q] = bytes(len(range(start, hi + 1, q)))
     return list(compress(range(lo, hi + 1), sieve))

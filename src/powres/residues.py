@@ -17,7 +17,7 @@ from math import gcd, isqrt
 
 from .errors import (BadN, BadResidue, InvariantViolation, NotEnumerated,
                      NotResidue)
-from .modmath import PrimeContext, powers, primes_up_to
+from .modmath import PrimeContext, powers, primes_between
 
 ENUM_CAP_DEFAULT = 1 << 22
 
@@ -215,21 +215,17 @@ _LEAST_FACTOR: list[int] = [0, 0]
 
 
 def _least_factors(size: int) -> list[int]:
-    """The shared least-factor table, grown by doubling to cover x < size.
-
-    New entries are filled by slice assignment over the primes up to the
-    new square root in descending order, so the least prime writes last.
-    """
+    """The shared least-factor table, grown to cover x < size by slice
+    assignment over the primes up to isqrt(size - 1) in descending order,
+    so the least prime writes last."""
     table = _LEAST_FACTOR
-    old = new = len(table)
+    old = len(table)
     if old >= size:
         return table
-    while new < size:
-        new *= 2
-    table.extend(repeat(0, new - old))
-    for q in reversed(primes_up_to(isqrt(new - 1))):
+    table.extend(repeat(0, size - old))
+    for q in reversed(primes_between(2, isqrt(size - 1))):
         start = max(q * q, -(-old // q) * q)
-        table[start:new:q] = [q] * len(range(start, new, q))
+        table[start:size:q] = [q] * len(range(start, size, q))
     return table
 
 

@@ -26,12 +26,13 @@ import json
 import math
 import os
 import re
-import threading
+import stat
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import starmap
+from secrets import token_hex
 from statistics import StatisticsError, linear_regression
 from tempfile import TemporaryFile
 
@@ -399,30 +400,34 @@ def write_records(records: list[SweepRecord], path: str,
     keeps the layout fixed.  JSONL rows carry an extra skip_reason key
     (null for completed cases) that CSV omits.
 
-    A regular file is written to a temporary file beside it, one per
-    thread, which then replaces it in one step: a write that fails or is
-    interrupted leaves any earlier file as it was and no partial file
-    behind.  A device, a FIFO or a path naming an open descriptor
-    (/dev/stdout, /dev/stderr, /dev/fd/N, /proc/self/fd/N) is written
-    directly, the last through the descriptor itself: it may lead to a
-    regular file, such as the target of a shell redirection, that must not
-    be replaced.  An empty path is refused with ValueError before anything
-    is opened.
+    A regular file is written to a temporary file beside it, created
+    exclusively under a short random name, which takes the file's mode and
+    then replaces it in one step: a write that fails or is interrupted
+    leaves any earlier file as it was and no partial file behind.  A
+    device, a FIFO or a path naming an open descriptor (/dev/stdout,
+    /dev/stderr, /dev/fd/N, /proc/self/fd/N) is written directly, the last
+    through the descriptor itself: it may lead to a regular file, such as
+    the target of a shell redirection, that must not be replaced.  An
+    empty path is refused with ValueError before anything is opened.
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
     if not path:
         raise ValueError(f"path must name a file, got {path!r}")
     fd = _descriptor(path)
-    if fd is not None or (os.path.exists(path) and not os.path.isfile(path)):
+    exists = os.path.exists(path)
+    if fd is not None or (exists and not os.path.isfile(path)):
         with open(path if fd is None else os.dup(fd), "w", encoding="utf-8",
                   newline="") as fh:
             _write_rows(fh, records, fmt)
         return
     target = os.path.realpath(path)
-    tmp = f"{target}.{os.getpid()}.{threading.get_ident()}.tmp"
+    tmp = os.path.join(os.path.dirname(target), f"{token_hex(8)}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with fh:
+            if exists:
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
             _write_rows(fh, records, fmt)
         os.replace(tmp, target)
     except BaseException:

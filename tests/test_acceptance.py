@@ -14,9 +14,11 @@ from math import fsum
 from oracles import brute_force_k, odd_divisors
 from powres import (SweepConfig, build_prime_context, compute_k,
                     expsum_profile, fit_exponent, harmonic_bound_check,
-                    interval_bound, interval_expsum, nth_root_solutions,
-                    orthogonality_decomposition, phase_table, primes_up_to,
-                    run_sweep, sweep, write_records)
+                    interval_bound, nth_root_solutions,
+                    orthogonality_decomposition, phase_table, run_sweep,
+                    sweep, write_records)
+from powres.expsums import _dirichlet
+from powres.modmath import primes_between
 
 
 def report(num, name, ok, detail=""):
@@ -25,9 +27,8 @@ def report(num, name, ok, detail=""):
 
 
 def contexts_up_to(p_max):
-    for p in primes_up_to(p_max):
-        if p >= 5:
-            yield build_prime_context(p)
+    for p in primes_between(5, p_max):
+        yield build_prime_context(p)
 
 
 def test_criterion_01_sandwich_bounds_full_range():
@@ -59,7 +60,7 @@ def test_criterion_02_oracle_equivalence():
 
 def test_criterion_03_root_solution_sets():
     rng = random.Random(1203)
-    primes = [p for p in primes_up_to(10**4 - 1) if p >= 5]
+    primes = primes_between(5, 10**4 - 1)
     bad = 0
     for _ in range(200):
         p = rng.choice(primes)
@@ -92,7 +93,7 @@ def test_criterion_05_kernel_closed_form_and_envelope():
     for p in (97, 499, 997):
         for K in sorted({1, int(p**0.7), (p - 1) // 2}):
             for r in range(p):
-                value = interval_expsum(p, r, K)
+                value = _dirichlet(p, r, K)
                 terms = [cmath.exp(-2j * math.pi * r * x / p)
                          for x in range(-K, K + 1) if x != 0]
                 direct = complex(fsum(t.real for t in terms),
@@ -107,7 +108,7 @@ def test_criterion_05_kernel_closed_form_and_envelope():
 
 def test_criterion_06_reconstruction_identity():
     rng = random.Random(607)
-    primes = [p for p in primes_up_to(10**4) if p >= 5]
+    primes = primes_between(5, 10**4)
     worst = 0.0
     for _ in range(100):
         p = rng.choice(primes)
@@ -161,9 +162,7 @@ def test_criterion_09_sweep_determinism(tmp_path, monkeypatch):
 
 def test_criterion_10_harmonic_majorization():
     failures = 0
-    for p in primes_up_to(10**4):
-        if p < 5:
-            continue
+    for p in primes_between(5, 10**4):
         lhs, rhs, ok = harmonic_bound_check(p)
         if not ok:
             failures += 1

@@ -12,13 +12,13 @@ from oracles import odd_divisors, subgroup_expsum
 from powres import (BadN, BadRadius, NotEnumerated, NotResidue, ScaleLimit,
                     ZeroFrequency, build_prime_context, empirical_delta,
                     expsum_profile, harmonic_bound_check, interval_bound,
-                    interval_expsum, orthogonality_decomposition,
-                    phase_table, power_residue_subgroup, primes_up_to,
-                    roots_of_unity_subgroup)
-from powres.modmath import powers
+                    orthogonality_decomposition, phase_table,
+                    power_residue_subgroup, roots_of_unity_subgroup)
+from powres.expsums import _dirichlet
+from powres.modmath import powers, primes_between
 from powres.residues import _subgroup_of_order
 
-PRIMES_SMALL = [p for p in primes_up_to(499) if p >= 5]
+PRIMES_SMALL = primes_between(5, 499)
 
 
 def all_divisors(m):
@@ -269,7 +269,7 @@ def test_conjugate_symmetry():
 
 
 def test_strict_subtriviality_all_proper_subgroups():
-    for p in [q for q in primes_up_to(101) if q >= 5]:
+    for p in primes_between(5, 101):
         table = phase_table(build_prime_context(p))
         for d in all_divisors(p - 1):
             if d < 2 or d > p - 2:
@@ -302,29 +302,32 @@ def test_empirical_delta_synthetic_inversion():
 
 
 def test_interval_expsum_examples():
-    assert interval_expsum(13, 0, 3) == complex(6, 0)
+    assert _dirichlet(13, 0, 3) == complex(6, 0)
     for r in range(1, 13):
-        assert abs(interval_expsum(13, r, 6) - (-1)) < 1e-10
+        assert abs(_dirichlet(13, r, 6) - (-1)) < 1e-10
     expected = math.sin(7 * math.pi / 13) / math.sin(math.pi / 13) - 1
-    value = interval_expsum(13, 1, 3)
+    value = _dirichlet(13, 1, 3)
     assert abs(value.real - expected) < 1e-12
     assert value.imag == 0.0
 
 
-def test_interval_expsum_radius_validation():
+def test_interval_expsum_radius_validation(ctx13):
+    # the kernel's callers check K, before any other work
     for K in (0, 7, True, 3.0):
         with pytest.raises(BadRadius):
-            interval_expsum(13, 1, K)
+            interval_bound(13, 1, K)
+        with pytest.raises(BadRadius):
+            orthogonality_decomposition(ctx13, 3, 8, K)
 
 
-@given(st.sampled_from([p for p in primes_up_to(997) if p >= 5]),
+@given(st.sampled_from(primes_between(5, 997)),
        st.data())
 @settings(max_examples=60, deadline=None)
 def test_interval_closed_form_matches_direct(p, data):
     r = data.draw(st.integers(0, p - 1))
     K = data.draw(st.sampled_from(
         sorted({1, min(int(p**0.7), (p - 1) // 2), (p - 1) // 2})))
-    value = interval_expsum(p, r, K)
+    value = _dirichlet(p, r, K)
     direct = direct_interval_sum(p, r, K)
     assert abs(value - direct) < 1e-9
 
@@ -342,7 +345,7 @@ def test_interval_bound_envelopes_kernel():
     for p in (13, 97):
         for K in (1, 3, (p - 1) // 2):
             for r in range(1, p):
-                assert abs(interval_expsum(p, r, K)) <= \
+                assert abs(_dirichlet(p, r, K)) <= \
                     interval_bound(p, r, K) + 1e-12
 
 

@@ -5,8 +5,7 @@ from itertools import islice
 import pytest
 
 from powres import (MODULUS_CAP, NotPrime, PrimeContext, ScaleLimit,
-                    TooSmall, build_prime_context, factorize, is_prime,
-                    primes_up_to)
+                    TooSmall, build_prime_context, factorize, is_prime)
 from powres.modmath import powers, primes_between
 
 
@@ -26,7 +25,7 @@ def test_is_prime_examples():
 
 def test_is_prime_agrees_with_sieve_to_one_million():
     limit = 10**6
-    prime_set = set(primes_up_to(limit - 1))
+    prime_set = set(primes_between(2, limit - 1))
     for m in range(limit):
         assert is_prime(m) == (m in prime_set), m
 
@@ -129,9 +128,7 @@ def test_build_prime_context_rejections():
 
 
 def test_primitive_root_is_least_and_has_full_order():
-    for p in primes_up_to(2000):
-        if p < 5:
-            continue
+    for p in primes_between(5, 2000):
         ctx = build_prime_context(p)
         assert multiplicative_order(ctx.g, p) == p - 1
         for candidate in range(2, ctx.g):
@@ -139,9 +136,7 @@ def test_primitive_root_is_least_and_has_full_order():
 
 
 def test_primitive_root_factor_quotient_criterion_wide_range():
-    for p in primes_up_to(10**5):
-        if p < 5:
-            continue
+    for p in primes_between(5, 10**5):
         ctx = build_prime_context(p)
         assert reconstruct(ctx.factors) == p - 1
         assert all(is_prime(q) for q, _ in ctx.factors)

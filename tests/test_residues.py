@@ -11,12 +11,13 @@ from powres import (BadN, BadResidue, InvariantViolation, KResult,
                     NotEnumerated, NotResidue, PrimeContext, ScaleLimit,
                     build_prime_context, chowla_london_bounds, compute_k,
                     is_nth_residue, nth_root_solutions,
-                    power_residue_subgroup, primes_up_to, principal_nth_root,
+                    power_residue_subgroup, principal_nth_root,
                     roots_of_unity_subgroup)
 from powres import residues
+from powres.modmath import primes_between
 from powres.residues import _pohlig_hellman_log, _root_coset
 
-PRIMES_2000 = [p for p in primes_up_to(1999) if p >= 5]
+PRIMES_2000 = primes_between(5, 1999)
 
 
 def powers_scan(p, n):
@@ -149,7 +150,7 @@ def bsgs_log(p, g, target):
 
 
 def test_log_matches_full_group_bsgs_on_every_small_unit():
-    for p in [q for q in primes_up_to(500) if q >= 5]:
+    for p in primes_between(5, 500):
         ctx = build_prime_context(p)
         for m in range(1, p):
             assert _pohlig_hellman_log(ctx, m) == bsgs_log(p, ctx.g, m), (p, m)
@@ -203,7 +204,7 @@ def test_root_count_invariant_fires_on_a_false_primitive_root(ctx13):
 
 
 def test_root_sets_match_scan_exhaustively_small():
-    for p in [q for q in primes_up_to(199) if q >= 5]:
+    for p in primes_between(5, 199):
         ctx = build_prime_context(p)
         for n in odd_divisors(p - 1):
             for m in powers_scan(p, n):
@@ -253,7 +254,7 @@ def test_brute_force_k_examples(ctx7, ctx13):
 
 
 def test_oracle_equivalence_small_range():
-    for p in [q for q in primes_up_to(299) if q >= 5]:
+    for p in primes_between(5, 299):
         ctx = build_prime_context(p)
         for n in odd_divisors(p - 1):
             assert compute_k(ctx, n).k == brute_force_k(ctx, n), (p, n)
@@ -274,7 +275,7 @@ def k_by_direct_scan(p, n):
 
 
 def test_compute_k_matches_direct_scan_on_every_odd_n():
-    for p in [q for q in primes_up_to(3000) if q >= 300]:
+    for p in primes_between(300, 3000):
         ctx = build_prime_context(p)
         for n in odd_divisors(p - 1):
             assert compute_k(ctx, n).k == k_by_direct_scan(p, n), (p, n)
@@ -349,7 +350,7 @@ def test_compute_k_takes_pow_only_at_primes_below_stop(monkeypatch):
             calls.clear()
             k = compute_k(ctx, n).k
             stop = _scan_stop(p, n)
-            expected = (1 + len(primes_up_to(min(k, stop - 1)))
+            expected = (1 + len(primes_between(2, min(k, stop - 1)))
                         + max(0, k - stop + 1))
             assert len(calls) == expected, (p, n, k)
 
@@ -402,7 +403,7 @@ def test_bounds_are_exact_rationals():
 
 
 def test_sandwich_holds_for_all_small_cases():
-    for p in [q for q in primes_up_to(499) if q >= 5]:
+    for p in primes_between(5, 499):
         ctx = build_prime_context(p)
         for n in odd_divisors(p - 1):
             result = compute_k(ctx, n)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pickle
+import stat
 import sys
 import threading
 from collections import Counter
@@ -16,8 +17,8 @@ from oracles import odd_divisors
 from powres import (SIEVE_CAP, DecompositionResult, EmptyRange,
                     ExpSumProfile, FitResult, KResult, ScaleLimit,
                     SweepConfig, SweepRecord, build_prime_context, compute_k,
-                    enumerate_cases, fit_exponent, modmath, primes_up_to,
-                    read_records, run_case, run_sweep, sweep, write_records)
+                    enumerate_cases, fit_exponent, modmath, read_records,
+                    run_case, run_sweep, sweep, write_records)
 from powres.cli import main
 from powres.expsums import empirical_delta, expsum_profile, phase_table
 from powres.sweep import CSV_COLUMNS, FORMATS
@@ -262,7 +263,7 @@ def test_one_context_and_one_factorisation_per_prime(monkeypatch, fake_pool):
 
     for module, name in ((modmath, "factorize"), (sweep, "PrimeContext")):
         count(module, name)
-    primes = [p for p in primes_up_to(2000) if p >= 5]
+    primes = modmath.primes_between(5, 2000)
     # only the list of all odd divisors reads the factors of p - 1
     for policy, factorisations in (
             (dict(n_policy="all_odd_divisors"), len(primes)),
@@ -341,8 +342,7 @@ def test_one_phase_table_per_prime_with_cases(monkeypatch):
     primes_with_cases = {p for p, _ in enumerate_cases(config)}
     made = recorded_contexts(monkeypatch)
     records = run_sweep(config)
-    assert len(primes_with_cases) < len(
-        [p for p in primes_up_to(2000) if p >= 5])
+    assert len(primes_with_cases) < len(modmath.primes_between(5, 2000))
     assert calls == Counter(primes_with_cases)
     # one context per prime, so each root search runs once
     assert [ctx.p for ctx in made] == modmath.primes_between(5, 2000)
@@ -658,6 +658,8 @@ def test_read_records_ignores_filled_timing_cells(tmp_path, monkeypatch, fmt):
 def test_write_records_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         write_records([], str(tmp_path / "x"), "xml")
+    with pytest.raises(ValueError):
+        read_records(str(tmp_path / "x"), "xml")
 
 
 def test_write_records_refuses_an_empty_path(tmp_path, monkeypatch):
@@ -730,6 +732,56 @@ def test_failed_write_keeps_earlier_file(tmp_path):
         write_records([good[0], unwritable], str(path), "jsonl")
     assert path.read_bytes() == before
     assert [f.name for f in tmp_path.iterdir()] == ["records.jsonl"]
+
+
+def test_write_records_never_follows_a_planted_temp_name(tmp_path,
+                                                        monkeypatch):
+    monkeypatch.setattr(sweep, "token_hex", lambda nbytes: "fixed")
+    victim = tmp_path / "victim.txt"
+    victim.write_bytes(b"victim")
+    link = tmp_path / "fixed.tmp"
+    link.symlink_to(victim)
+    records = run_sweep(SweepConfig(p_min=13, p_max=13))
+    for existing in (b"earlier", None):
+        out = tmp_path / "out.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        with pytest.raises(OSError):
+            write_records(records, str(out))
+        assert victim.read_bytes() == b"victim"
+        assert link.is_symlink() and os.readlink(link) == str(victim)
+        if existing is not None:
+            assert not out.is_symlink() and out.read_bytes() == existing
+            out.unlink()
+        assert sorted(f.name for f in tmp_path.iterdir()) == \
+            ["fixed.tmp", "victim.txt"]
+
+
+def test_write_records_keeps_the_mode_of_a_rewritten_file(tmp_path):
+    records = run_sweep(SweepConfig(p_min=13, p_max=13))
+    # a new file gets what a plain open for writing would give it
+    plain = tmp_path / "plain.csv"
+    open(plain, "w").close()
+    new = tmp_path / "new.csv"
+    write_records(records, str(new))
+    assert new.stat().st_mode == plain.stat().st_mode
+    for mode in (0o600, 0o640, 0o444):
+        out = tmp_path / f"{mode:o}.csv"
+        out.write_bytes(b"earlier")
+        out.chmod(mode)
+        write_records(records, str(out))
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        assert out.read_bytes() == new.read_bytes()
+
+
+def test_write_records_to_a_long_file_name(tmp_path):
+    # the name fits the file system, and the temp name must not outgrow it
+    out = str(tmp_path / ("a" * 240 + ".csv"))
+    records = run_sweep(SweepConfig(p_min=5, p_max=50))
+    sweep.check_destination(out)
+    write_records(records, out)
+    assert read_records(out) == records
+    assert [f.name for f in tmp_path.iterdir()] == [os.path.basename(out)]
 
 
 def test_write_records_through_fifo_and_symlink(tmp_path):

@@ -6,15 +6,15 @@ import random
 import pytest
 
 from oracles import odd_divisors
-from powres import (build_prime_context, factorize, nth_root_solutions,
-                    primes_up_to)
+from powres import build_prime_context, factorize, nth_root_solutions
+from powres.modmath import primes_between
 from powres.residues import _pohlig_hellman_log
 
 sympy = pytest.importorskip("sympy")
 from sympy.ntheory import (discrete_log, factorint,  # noqa: E402
                            nthroot_mod, primitive_root)
 
-PRIMES = [p for p in primes_up_to(3000) if p >= 5]
+PRIMES = primes_between(5, 3000)
 
 
 def test_factorize_matches_factorint():

@@ -72,16 +72,16 @@ def phase_table(ctx: PrimeContext) -> PhaseTable:
     cos or sin.  The table stands for all p - 1 phases, so p - 1 must fit
     the cap.
     """
-    p, g = ctx.p, ctx.g
-    _require_enumerable(p - 1, "phase table")
+    p = ctx.p
+    _require_enumerable(p - 1, "phase table")  # before g factors p - 1
     cos_t, sin_t = array("d"), array("d")
-    walk = islice(powers(g, p), (p - 1) // 2)
+    walk = islice(powers(ctx.g, p), (p - 1) // 2)
     while block := list(islice(walk, _BLOCK)):
         angles = list(map(truediv, map(mul, repeat(2.0 * pi), block),
                           repeat(p)))
         cos_t.fromlist(list(map(cos, angles)))
         sin_t.fromlist(list(map(sin, angles)))
-    return PhaseTable(p=p, g=g, cos=cos_t, sin=sin_t)
+    return PhaseTable(p=p, g=ctx.g, cos=cos_t, sin=sin_t)
 
 
 @dataclass(frozen=True)

@@ -20,21 +20,30 @@ from .errors import (BadN, BadResidue, InvariantViolation, NotEnumerated,
 from .modmath import PrimeContext, powers, primes_between
 
 ENUM_CAP_DEFAULT = 1 << 22
+_CAP_VAR = "POWRES_ENUM_CAP"
 
 
 def _enum_cap() -> int:
     """The enumeration cap, POWRES_ENUM_CAP (default 2**22; not a positive
     integer raises ValueError), read from the environment here and nowhere
-    else, on every call, so pool workers see their parent's cap.  It bounds
-    R, the n roots, the baby-step table, and the p - 1 phases of the expsum
-    table and of the decomposition terms.
+    else, on every call; a pool worker's is its parent's, which
+    _inherit_cap sets.  It bounds R, the n roots, the baby-step table, and
+    the p - 1 phases of the expsum table and of the decomposition terms.
     """
-    raw = os.environ.get("POWRES_ENUM_CAP", str(ENUM_CAP_DEFAULT))
+    raw = os.environ.get(_CAP_VAR, str(ENUM_CAP_DEFAULT))
     cap = int(raw) if raw.isdecimal() else 0
     if cap < 1:
-        raise ValueError(
-            f"POWRES_ENUM_CAP must be a positive integer, got {raw!r}")
+        raise ValueError(f"{_CAP_VAR} must be a positive integer, got {raw!r}")
     return cap
+
+
+def _inherit_cap(raw: str | None) -> None:
+    """A pool worker's initializer: raw, the parent's setting of _CAP_VAR
+    or None where it has none, replaces the worker's own, which under
+    forkserver is the server's, fixed when the server started."""
+    os.environ.pop(_CAP_VAR, None)
+    if raw is not None:
+        os.environ[_CAP_VAR] = raw
 
 
 def _require_enumerable(count: int, what: str) -> None:

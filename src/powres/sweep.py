@@ -13,9 +13,10 @@ cases.  The tasks run in a process pool only when more than one worker
 may run and the sweep's work estimate (see _work) reaches
 _POOL_MIN_WORK; below it they run in-process whatever the worker count,
 since starting the pool would cost more than it saves.  A pool task gets
-its prime's context, factors included, and case list, and results are
-joined in prime order, so output files are byte-identical for any worker
-count.
+its prime's context, factors included, and case list, each worker takes
+the parent's enumeration cap when the pool starts, whatever the start
+method, and results are joined in prime order, so output files are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from statistics import StatisticsError, linear_regression
 from tempfile import TemporaryFile
 
 from .errors import EmptyRange, InvariantViolation, ScaleLimit
-from .expsums import PhaseTable, _delta, expsum_profile, phase_table
+from .expsums import _delta, expsum_profile, phase_table
 from .modmath import (SIEVE_CAP, PrimeContext, build_prime_context,
                       primes_between)
-from .residues import (KResult, _bound_cells, _enum_cap, chowla_london_bounds,
-                       compute_k)
+from .residues import (_CAP_VAR, KResult, _bound_cells, _enum_cap,
+                       _inherit_cap, chowla_london_bounds, compute_k)
 
 N_POLICIES = ("all_odd_divisors", "largest_odd_divisor", "fixed_n")
 
@@ -55,7 +56,7 @@ CSV_COLUMNS = ("p", "n", "k", "lower_num", "lower_den", "upper_num",
 # case's residue subgroup R, which costs a k scan about 0.4-0.7 us (2-CPU
 # Xeon, Python 3.11).  A phase table or profile costs about 1/_EXPSUM_DIVISOR
 # unit per phase.  Below _POOL_MIN_WORK units, 60-70 ms in-process, a
-# 2-worker pool did not repay its start-up.
+# 2-worker pool started with fork did not repay its start-up.
 _EXPSUM_DIVISOR = 4
 _POOL_MIN_WORK = 100_000
 
@@ -148,18 +149,6 @@ class SweepRecord:
         ratio = self.max_expsum_ratio
         return None if ratio is None else _delta(ratio, self.p, self.n)
 
-    @property
-    def log_p(self) -> float:
-        return math.log(self.p)
-
-    @property
-    def log_k(self) -> float:
-        if self.k is None or self.k < 1:
-            raise InvariantViolation(
-                f"log k of (p={self.p}, n={self.n}) needs k >= 1, "
-                f"got {self.k}")
-        return math.log(self.k)
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -214,20 +203,6 @@ def enumerate_cases(config: SweepConfig) -> list[tuple[int, int]]:
             for n in ns]
 
 
-def _case_record(ctx: PrimeContext, n: int,
-                 table: PhaseTable | None) -> SweepRecord:
-    """One case of an already built prime, whose context and phase table
-    every case of the prime shares.  Without a table the expsum fields
-    stay None."""
-    p = ctx.p
-    try:
-        result = compute_k(ctx, n)
-    except ScaleLimit as exc:
-        return SweepRecord(p=p, n=n, k=None, skip_reason=str(exc))
-    max_ratio = None if table is None else expsum_profile(table, n).max_ratio
-    return SweepRecord(p=p, n=n, k=result.k, max_expsum_ratio=max_ratio)
-
-
 def _check_monotone(records: list[SweepRecord]) -> None:
     """k(p, n') <= k(p, n) whenever n | n' among one prime's computed
     cases: each coset of the order-2n' subgroup is a union of cosets of
@@ -243,14 +218,23 @@ def _check_monotone(records: list[SweepRecord]) -> None:
 
 def _prime_records(ctx: PrimeContext, ns: list[int],
                    with_expsums: bool) -> list[SweepRecord]:
-    """The records of one prime's ascending cases ns, in order, sharing at
-    most one phase table: none without expsums, without cases or above the
-    cap.  The records are checked against each other by _check_monotone."""
+    """The records of one prime's ascending cases ns, in order: a k scan
+    each, a skip where it would pass the cap, and a profile from at most
+    one shared phase table (none without expsums, without cases or above
+    the cap).  They are checked against each other by _check_monotone."""
     try:
         table = phase_table(ctx) if with_expsums and ns else None
     except ScaleLimit:
         table = None
-    records = [_case_record(ctx, n, table) for n in ns]
+    records = []
+    for n in ns:
+        try:
+            k = compute_k(ctx, n).k
+        except ScaleLimit as exc:
+            records.append(SweepRecord(ctx.p, n, None, skip_reason=str(exc)))
+            continue
+        ratio = None if table is None else expsum_profile(table, n).max_ratio
+        records.append(SweepRecord(ctx.p, n, k, max_expsum_ratio=ratio))
     _check_monotone(records)
     return records
 
@@ -311,7 +295,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         per_prime = starmap(task, cases)
     else:
         chunk = max(1, len(cases) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_inherit_cap,
+                                 initargs=(os.environ.get(_CAP_VAR),)) as pool:
             per_prime = list(pool.map(task, *zip(*cases), chunksize=chunk))
     return [rec for records in per_prime for rec in records]
 
@@ -325,7 +310,12 @@ def fit_exponent(records: list[SweepRecord]) -> FitResult | None:
     largest-odd-divisor policy |R| is the 2-power part of p - 1, so the
     slope tracks that valuation instead.
     """
-    points = [(rec.log_p, rec.log_k) for rec in records if rec.k is not None]
+    done = [rec for rec in records if rec.k is not None]
+    for rec in done:
+        if rec.k < 1:  # only a hand-built or read record can hold one
+            raise InvariantViolation(
+                f"log k of (p={rec.p}, n={rec.n}) needs k >= 1, got {rec.k}")
+    points = [(math.log(rec.p), math.log(rec.k)) for rec in done]
     xs = [x for x, _ in points]
     ys = [y for _, y in points]
     try:

@@ -204,6 +204,26 @@ def test_sweep_over_the_table_cap_keeps_k(tmp_path):
         assert r["max_expsum_ratio"] is None and r["delta_emp"] is None
 
 
+def test_a_table_above_the_cap_factors_nothing(monkeypatch, tmp_path):
+    # g reads the factors of p - 1, so a phase table the cap refuses must
+    # fail before g is found
+    factored = []
+    real = modmath.factorize
+
+    def counted(m):
+        factored.append(m)
+        return real(m)
+    monkeypatch.setattr(modmath, "factorize", counted)
+    monkeypatch.setenv("POWRES_ENUM_CAP", "64")
+    assert main(["sweep", "--p-max", "3000", "--with-expsums", "--policy",
+                 "largest_odd_divisor", "--out", str(tmp_path / "t.csv")]) == 0
+    # the tables that fit: p - 1 <= 64 and not a power of two, so n >= 3
+    assert len(factored) == 14
+    factored.clear()
+    assert main(["expsum", "100003", "3"]) == 3
+    assert factored == []
+
+
 def test_expsum_bad_n_exits_before_the_table(monkeypatch, capsys):
     built = []
     monkeypatch.setattr(cli, "phase_table",

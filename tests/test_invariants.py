@@ -59,8 +59,9 @@ check("monotone", lambda: sweep.run_sweep(sweep.SweepConfig(p_min=31,
                                                             p_max=31)))
 sweep.compute_k = real_k
 
-# log k: a skipped record has no k
-check("log_k", lambda: sweep.SweepRecord(p=13, n=3, k=None).log_k)
+# log k: the fit takes log k of each completed record, and k = 0 has none
+check("log_k", lambda: sweep.fit_exponent([
+    sweep.SweepRecord(p=13, n=3, k=1), sweep.SweepRecord(p=31, n=3, k=0)]))
 
 # imaginary residue: purely imaginary subgroup sums cannot cancel
 real_profile = expsums.expsum_profile

@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import pickle
 import stat
@@ -36,7 +38,7 @@ def fake_pool(monkeypatch):
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -247,6 +249,30 @@ def test_pool_workers_see_the_environment_cap(monkeypatch):
     assert any(r.k is not None for r in runs[0])
 
 
+@pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
+                    reason="no forkserver start method here")
+def test_forkserver_workers_take_the_parent_cap(monkeypatch):
+    # A forkserver's workers inherit the server's environment, fixed when
+    # the server started, not the parent's at the time of the sweep.
+    monkeypatch.setattr(sweep, "_POOL_MIN_WORK", 0)
+    two_usable_cpus(monkeypatch)
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", functools.partial(
+        sweep.ProcessPoolExecutor,
+        mp_context=multiprocessing.get_context("forkserver")))
+    pooled = SweepConfig(p_min=5, p_max=400, workers=2)
+    serial = dataclasses.replace(pooled, workers=1)
+    monkeypatch.delenv("POWRES_ENUM_CAP", raising=False)
+    run_sweep(pooled)  # starts the server, if no earlier sweep did
+    for cap, skips in (("8", 95), (None, 0)):
+        if cap is None:
+            monkeypatch.delenv("POWRES_ENUM_CAP")
+        else:
+            monkeypatch.setenv("POWRES_ENUM_CAP", cap)
+        records = run_sweep(serial)
+        assert sum(rec.k is None for rec in records) == skips
+        assert run_sweep(pooled) == records, cap
+
+
 def test_one_context_and_one_factorisation_per_prime(monkeypatch, fake_pool):
     # a pooled sweep lists the cases too, and its tasks get the contexts
     monkeypatch.setattr(sweep, "_POOL_MIN_WORK", 0)
@@ -426,9 +452,9 @@ def test_real_pool_starts_once_above_the_threshold(monkeypatch):
     started = []
     real = sweep.ProcessPoolExecutor
 
-    def counted(max_workers):
+    def counted(max_workers, **kwargs):
         started.append(max_workers)
-        return real(max_workers=max_workers)
+        return real(max_workers=max_workers, **kwargs)
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", counted)
     config = SweepConfig(p_min=2000, p_max=3500, workers=2)
     assert estimate(config) >= sweep._POOL_MIN_WORK
@@ -442,7 +468,7 @@ def test_pool_size_is_bounded_by_the_usable_cpus(monkeypatch):
     # One usable CPU on a machine of many: a pool would only contend for it.
     monkeypatch.setattr(sweep, "_POOL_MIN_WORK", 0)
 
-    def no_pool(max_workers):
+    def no_pool(max_workers, **kwargs):
         raise AssertionError(f"pool of {max_workers} started on one CPU")
     serial = run_sweep(SweepConfig(p_min=5, p_max=50))
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
@@ -472,8 +498,8 @@ def test_fit_exponent_matches_polyfit_oracle():
     import numpy as np
     records = [make_record(p, (p * 7) // 100 + 3) for p in (11, 97, 997, 9973)]
     fit = fit_exponent(records)
-    xs = [r.log_p for r in records]
-    ys = [r.log_k for r in records]
+    xs = [math.log(r.p) for r in records]
+    ys = [math.log(r.k) for r in records]
     slope, intercept = np.polyfit(xs, ys, 1)
     assert abs(fit.slope - slope) < 1e-9
     assert abs(fit.intercept - intercept) < 1e-9

@@ -16,7 +16,10 @@ since starting the pool would cost more than it saves.  A pool task gets
 its prime's context, factors included, and case list, each worker takes
 the parent's enumeration cap when the pool starts, whatever the start
 method, and results are joined in prime order, so output files are
-byte-identical for any worker count.
+byte-identical for any worker count.  The pool machinery
+(concurrent.futures and multiprocessing) is imported only when a pool
+starts, so importing the package or running a sweep in-process does not
+load it.
 """
 
 from __future__ import annotations
@@ -28,14 +31,11 @@ import math
 import os
 import re
 import stat
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import starmap
-from secrets import token_hex
 from statistics import StatisticsError, linear_regression
-from tempfile import TemporaryFile
 
 from .errors import EmptyRange, InvariantViolation, ScaleLimit
 from .expsums import _delta, expsum_profile, phase_table
@@ -55,10 +55,16 @@ CSV_COLUMNS = ("p", "n", "k", "lower_num", "lower_den", "upper_num",
 # The work estimate of run_sweep (see _work), in units of one element of a
 # case's residue subgroup R, which costs a k scan about 0.4-0.7 us (2-CPU
 # Xeon, Python 3.11).  A phase table or profile costs about 1/_EXPSUM_DIVISOR
-# unit per phase.  Below _POOL_MIN_WORK units, 60-70 ms in-process, a
-# 2-worker pool started with fork did not repay its start-up.
+# unit per phase.  Below _POOL_MIN_WORK units, about 80-90 ms in-process, a
+# 2-worker pool started with fork does not repay its start-up, which
+# includes importing the pool machinery (about 20 ms) in a fresh process.
+# Timed in fresh interpreters on [2000, p_max] windows, alternating runs,
+# medians of 20: W 165k took 54 ms in-process and 71 ms pooled, W 239k 77
+# and 80 ms, W 333k 109 and 97 ms.  With that import already paid the
+# crossover lay near 100k-135k.  A forkserver pool lost at every W tried,
+# up to 493k.
 _EXPSUM_DIVISOR = 4
-_POOL_MIN_WORK = 100_000
+_POOL_MIN_WORK = 250_000
 
 _FD_PATH = re.compile(r"/(?:dev|proc/self)/fd/(\d+)")
 _STD_PATHS = {"/dev/stdout": 1, "/dev/stderr": 2}
@@ -294,6 +300,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     if workers == 1:
         per_prime = starmap(task, cases)
     else:
+        from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, len(cases) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers, initializer=_inherit_cap,
                                  initargs=(os.environ.get(_CAP_VAR),)) as pool:
@@ -378,6 +385,7 @@ def check_destination(path: str) -> None:
     elif os.path.isdir(path or "."):  # an empty path is the working directory
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     elif os.path.isfile(path) or not os.path.exists(path):
+        from tempfile import TemporaryFile
         TemporaryFile(dir=os.path.dirname(os.path.realpath(path))).close()
 
 
@@ -412,7 +420,7 @@ def write_records(records: list[SweepRecord], path: str,
             _write_rows(fh, records, fmt)
         return
     target = os.path.realpath(path)
-    tmp = os.path.join(os.path.dirname(target), f"{token_hex(8)}.tmp")
+    tmp = os.path.join(os.path.dirname(target), f"{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import functools
@@ -8,6 +9,7 @@ import multiprocessing
 import os
 import pickle
 import stat
+import subprocess
 import sys
 import threading
 from collections import Counter
@@ -51,7 +53,8 @@ def fake_pool(monkeypatch):
             fn, jobs = pickle.loads(pickle.dumps((fn, list(zip(*iterables)))))
             return pickle.loads(pickle.dumps([fn(*job) for job in jobs]))
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     return sizes
 
 
@@ -256,9 +259,10 @@ def test_forkserver_workers_take_the_parent_cap(monkeypatch):
     # the server started, not the parent's at the time of the sweep.
     monkeypatch.setattr(sweep, "_POOL_MIN_WORK", 0)
     two_usable_cpus(monkeypatch)
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", functools.partial(
-        sweep.ProcessPoolExecutor,
-        mp_context=multiprocessing.get_context("forkserver")))
+    forkserver = functools.partial(
+        concurrent.futures.ProcessPoolExecutor,
+        mp_context=multiprocessing.get_context("forkserver"))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forkserver)
     pooled = SweepConfig(p_min=5, p_max=400, workers=2)
     serial = dataclasses.replace(pooled, workers=1)
     monkeypatch.delenv("POWRES_ENUM_CAP", raising=False)
@@ -450,13 +454,13 @@ def test_work_estimate_counts_expsum_work_by_p():
 def test_real_pool_starts_once_above_the_threshold(monkeypatch):
     two_usable_cpus(monkeypatch)
     started = []
-    real = sweep.ProcessPoolExecutor
+    real = concurrent.futures.ProcessPoolExecutor
 
     def counted(max_workers, **kwargs):
         started.append(max_workers)
         return real(max_workers=max_workers, **kwargs)
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", counted)
-    config = SweepConfig(p_min=2000, p_max=3500, workers=2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    config = SweepConfig(p_min=2000, p_max=4600, workers=2)
     assert estimate(config) >= sweep._POOL_MIN_WORK
     pooled = run_sweep(config)
     assert started == [2]
@@ -471,12 +475,46 @@ def test_pool_size_is_bounded_by_the_usable_cpus(monkeypatch):
     def no_pool(max_workers, **kwargs):
         raise AssertionError(f"pool of {max_workers} started on one CPU")
     serial = run_sweep(SweepConfig(p_min=5, p_max=50))
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
     pinned = run_sweep(SweepConfig(p_min=5, p_max=50, workers=2))
     assert pinned == serial
+
+
+FOOTPRINT = """\
+import json, os, sys
+before = set(sys.modules)
+import powres, powres.cli
+loaded = set(sys.modules) - before
+watched = ("concurrent.futures", "multiprocessing", "secrets", "hashlib")
+report = {"on_import": [name for name in watched if name in loaded]}
+cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1)
+if cpus >= 2:
+    powres.sweep._POOL_MIN_WORK = 0
+    config = powres.SweepConfig(p_min=5, p_max=200, workers=2)
+    pooled = powres.run_sweep(config)
+    report["pool_loaded"] = "concurrent.futures.process" in sys.modules
+    report["same"] = pooled == powres.run_sweep(
+        powres.SweepConfig(p_min=5, p_max=200, workers=1))
+print(json.dumps(report))
+"""
+
+
+def test_import_loads_the_pool_machinery_only_when_a_pool_starts():
+    # Measured against the modules loaded before the import, so whatever
+    # site loads at start-up does not count.
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT],
+                          capture_output=True, text=True, env=dict(os.environ))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["on_import"] == []
+    if "pool_loaded" not in report:
+        pytest.skip("one usable CPU: no pool starts; the import check passed")
+    assert report["pool_loaded"]
+    assert report["same"]
 
 
 def test_fit_exponent_linear():
@@ -762,10 +800,11 @@ def test_failed_write_keeps_earlier_file(tmp_path):
 
 def test_write_records_never_follows_a_planted_temp_name(tmp_path,
                                                         monkeypatch):
-    monkeypatch.setattr(sweep, "token_hex", lambda nbytes: "fixed")
+    fixed = b"planted!"
+    monkeypatch.setattr(os, "urandom", lambda nbytes: fixed[:nbytes])
     victim = tmp_path / "victim.txt"
     victim.write_bytes(b"victim")
-    link = tmp_path / "fixed.tmp"
+    link = tmp_path / f"{fixed.hex()}.tmp"
     link.symlink_to(victim)
     records = run_sweep(SweepConfig(p_min=13, p_max=13))
     for existing in (b"earlier", None):
@@ -780,7 +819,7 @@ def test_write_records_never_follows_a_planted_temp_name(tmp_path,
             assert not out.is_symlink() and out.read_bytes() == existing
             out.unlink()
         assert sorted(f.name for f in tmp_path.iterdir()) == \
-            ["fixed.tmp", "victim.txt"]
+            sorted([link.name, victim.name])
 
 
 def test_write_records_keeps_the_mode_of_a_rewritten_file(tmp_path):

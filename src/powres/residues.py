@@ -4,6 +4,10 @@ k(p, n) is the least k such that the n-th powers of +-1, +-2, ..., +-k hit
 every non-zero n-th power residue mod p.  Throughout, n must be a positive
 odd divisor of p - 1: oddness makes (-x)**n = -(x**n), which is what lets a
 single magnitude x cover a symmetric pair of residues.
+
+compute_k finds k(p, 3) on the lattice of cube roots of unity mod p, in
+exact integers, O(1) time and O(1) memory, without the least-factor table;
+every other n takes an O(k) scan.
 """
 
 from __future__ import annotations
@@ -178,9 +182,11 @@ class KResult:
 
     lower = (p-1)/(2n) and upper_exclusive = (1/2 - 1/(2n)) * p, exact
     rationals.  For n >= 3 the sandwich lower <= k < upper_exclusive is a
-    theorem, so construction (dataclasses.replace too) refuses a k outside
-    it with InvariantViolation; at n = 1 the upper bound degenerates to 0
-    and is not checked.
+    theorem, and so is k < (q - 1)p/(2q) for q the least prime factor of
+    n, since k(p, n) <= k(p, q) when q | n; the two agree at prime n.
+    Construction (dataclasses.replace too) refuses a k that breaks either
+    with InvariantViolation; at n = 1 the upper bound degenerates to 0 and
+    neither is checked.
     """
 
     p: int
@@ -189,9 +195,21 @@ class KResult:
 
     def __post_init__(self) -> None:
         p, n, k = self.p, self.n, self.k  # the sandwich times 2n
-        if n >= 3 and not p - 1 <= 2 * n * k < (n - 1) * p:
+        if n < 3:
+            return
+        if not p - 1 <= 2 * n * k < (n - 1) * p:
             raise InvariantViolation(
                 f"bound violation at (p={p}, n={n}): k = {k}")
+        # (q - 1)/(2q) >= 1/3, so only 3k >= p needs q; the bound fails
+        # exactly when q <= p/(p - 2k), so no larger divisor is tried, and
+        # q = n when none is found restates the sandwich
+        if 3 * k >= p:
+            q = next((d for d in range(3, min(p // (p - 2 * k), isqrt(n)) + 1,
+                                       2) if n % d == 0), n)
+            if 2 * q * k >= (q - 1) * p:
+                raise InvariantViolation(
+                    f"bound violation at (p={p}, n={n}): k = {k} >= "
+                    f"(q - 1)p/(2q), q = {q}")
 
     @property
     def lower(self) -> Fraction:
@@ -238,31 +256,104 @@ def _least_factors(size: int) -> list[int]:
     return table
 
 
-def compute_k(ctx: PrimeContext, n: int) -> KResult:
-    """Least k whose signed n-th powers cover every n-th power residue.
+def _triangle_points(p: int, u: tuple[int, int], v: tuple[int, int],
+                     low: int):
+    """The points (a, b) = i*u + j*v of the lattice with basis u, v, of
+    determinant +-p, in the triangle a >= low, b >= low, a + b <= p - low.
 
-    Scans x = 1, 2, ... and marks the folded residue min(r, p - r) of
-    r = x**n: n is odd, so p - r = (-x)**n, and the n-th power residues
-    pair up into |R|/2 folded values, |R| = (p - 1)/n.  The scan stops at
-    the exact covering index, the first x at which all |R|/2 are marked.
-    x -> x**n is multiplicative, so a composite x with least prime factor
-    q may take r = (x/q)**n * q**n mod p from stored powers; the scan runs
-    in three regimes.  Below 2|R| every r is stored, and only x = 1 and
-    a prime x take a modular exponentiation.  From 2|R| up to stop, the
-    largest power of two <= 4|R|, a composite x still finds both factors
-    stored (q <= x/q <= x/2 < 2|R|) and nothing more is stored; a prime x
-    takes an exponentiation.  From stop on every x takes one.  The shared
-    least-factor table is grown to stop, and never past it, before the
-    scan starts.  Memory is O(|R|), with |R| within the enumeration
-    cap: at most 2|R| stored powers, a table of at most 4|R| entries (for
-    the largest |R| scanned in the process), and marks in a bytearray of
+    i runs over the rows that the triangle's corners span; each row's
+    range of j is cut by the three sides, with exact floor and ceiling
+    division.
+    """
+    (u1, u2), (v1, v2) = u, v
+    s = (u1 * v2 - u2 * v1) // p  # +-1
+    # (x, y) = i*u + j*v has i = s*(x*v2 - y*v1)/p, j = s*(y*u1 - x*u2)/p
+    corners = ((low, low), (p - 2 * low, low), (low, p - 2 * low))
+    ii = [s * (x * v2 - y * v1) for x, y in corners]
+    jj = [s * (y * u1 - x * u2) for x, y in corners]
+    # each side as c*j >= r - d*i: a >= low, b >= low, -(a + b) >= low - p
+    sides = ((v1, u1, low), (v2, u2, low), (-v1 - v2, -u1 - u2, low - p))
+    for i in range(-(-min(ii) // p), max(ii) // p + 1):
+        lo, hi = -(-min(jj) // p), max(jj) // p
+        for c, d, r in sides:
+            r -= d * i
+            if c > 0:
+                lo = max(lo, -(-r // c))
+            elif c < 0:
+                hi = min(hi, r // c)
+            elif r > 0:
+                hi = lo - 1
+        for j in range(lo, hi + 1):
+            yield i * u1 + j * v1, i * u2 + j * v2
+
+
+def _lattice_k3(p: int) -> int:
+    """k(p, 3) from the lattice L = {(a, b) : b == w*a mod p} of a primitive
+    cube root of unity w, in exact integers and O(1) memory.
+
+    The coset of x in F_p^*/mu_6 is +-{x, xw, xw**2} and xw**2 == -x - xw,
+    so k(p, 3) is the largest f(a, b) = min(||a||, ||b||, ||a + b||) over
+    L, ||y|| the distance from y to pZ.  Mod p and up to negation, every
+    point with f >= V lies in the triangle T_V: a >= V, b >= V,
+    a + b <= p - V, where f = min(a, b, p - a - b).  L is reduced by
+    Lagrange-Gauss to a basis u, v; V is the best f over the 5 x 5 points
+    of basis coefficients nearest (p/3, p/3), a deep hole of L; then every
+    point of T_V is visited.  V is some point's f, so it only chooses where
+    to look: T_V holds every best point.  No g and no factors of p - 1 are
+    read.  The shortest vector u of L has u1**2 + u1*u2 + u2**2 == p, which
+    is checked.
+    """
+    e = (p - 1) // 3
+    x = 2
+    while (w := pow(x, e, p)) == 1:
+        x += 1
+    u1, u2, v1, v2 = 1, w, 0, p
+    nu = 1 + w * w
+    while True:  # Lagrange-Gauss: subtract the nearest multiple of u from v
+        m = (2 * (u1 * v1 + u2 * v2) + nu) // (2 * nu)
+        v1, v2 = v1 - m * u1, v2 - m * u2
+        nv = v1 * v1 + v2 * v2
+        if nv >= nu:
+            break
+        u1, u2, v1, v2, nu = v1, v2, u1, u2, nv
+    if u1 * u1 + u1 * u2 + u2 * u2 != p:
+        raise InvariantViolation(
+            f"reduced vector ({u1}, {u2}) of the cube-root lattice mod {p} "
+            f"has norm form {u1 * u1 + u1 * u2 + u2 * u2}, not p")
+    s = (u1 * v2 - u2 * v1) // p  # +-1, as in _triangle_points
+    i0, j0 = s * (v2 - v1) // 3, s * (u1 - u2) // 3  # near (p/3, p/3)
+    best = 0
+    for i in range(i0 - 2, i0 + 3):
+        for j in range(j0 - 2, j0 + 3):
+            a, b = i * u1 + j * v1, i * u2 + j * v2
+            a, b, c = a % p, b % p, -(a + b) % p
+            best = max(best, min(a, p - a, b, p - b, c, p - c))
+    return max(min(a, b, p - a - b)
+               for a, b in _triangle_points(p, (u1, u2), (v1, v2), best))
+
+
+def _scan_k(ctx: PrimeContext, n: int) -> int:
+    """k(p, n) by scanning x = 1, 2, ... for the first x at which the
+    signed n-th powers cover every n-th power residue.
+
+    Marks the folded residue min(r, p - r) of r = x**n: n is odd, so
+    p - r = (-x)**n, and the n-th power residues pair up into |R|/2 folded
+    values, |R| = (p - 1)/n.  x -> x**n is multiplicative, so a composite x
+    with least prime factor q may take r = (x/q)**n * q**n mod p from
+    stored powers; the scan runs in three regimes.  Below 2|R| every r is
+    stored, and only x = 1 and a prime x take a modular exponentiation.
+    From 2|R| up to stop, the largest power of two <= 4|R|, a composite x
+    still finds both factors stored (q <= x/q <= x/2 < 2|R|) and nothing
+    more is stored; a prime x takes an exponentiation.  From stop on every
+    x takes one.  The shared least-factor table is grown to stop, and never
+    past it, before the scan starts.  Memory is O(|R|): at most 2|R|
+    stored powers, a table of at most 4|R| entries (for the largest |R|
+    scanned in the process), and marks in a bytearray of
     (p + 1)/2 <= 16|R| + 1 bytes when n <= 32, in a dict of at most |R|/2
-    keys otherwise.  The KResult refuses a k outside the sandwich.
+    keys otherwise.  The caller checks n and the cap.
     """
     p = ctx.p
-    _require_valid_n(p, n)
     size = (p - 1) // n
-    _require_enumerable(size, "residue subgroup")
     keep = 2 * size
     stop = 1 << ((4 * size).bit_length() - 1)
     h = p // 2
@@ -300,4 +391,20 @@ def compute_k(ctx: PrimeContext, n: int) -> KResult:
         if not marks[r]:
             marks[r] = 1
             unmarked -= 1
-    return KResult(p=p, n=n, k=x)
+    return x
+
+
+def compute_k(ctx: PrimeContext, n: int) -> KResult:
+    """Least k whose signed n-th powers cover every n-th power residue.
+
+    n = 3 takes _lattice_k3: O(1) time and memory whatever p, and it never
+    touches the least-factor table.  Every other n takes _scan_k, the O(k)
+    scan with O(|R|) memory, |R| = (p - 1)/n.  Both run only after n is
+    checked and |R| is within the enumeration cap, so the cap refuses the
+    same (p, n) on either path.  The KResult refuses a k outside the
+    sandwich or at or above (q - 1)p/(2q), q the least prime factor of n.
+    """
+    p = ctx.p
+    _require_valid_n(p, n)
+    _require_enumerable((p - 1) // n, "residue subgroup")
+    return KResult(p=p, n=n, k=_lattice_k3(p) if n == 3 else _scan_k(ctx, n))

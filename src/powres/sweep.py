@@ -258,7 +258,9 @@ def _work(cases: list[tuple[PrimeContext, list[int]]],
     cap and, with expsums, (p - 1)/_EXPSUM_DIVISOR for the phase table and
     for each profile of a prime whose p - 1 fits it.  What the cap skips
     costs next to nothing, and the parent's own work per prime is not
-    counted: a pool does not take it over.
+    counted: a pool does not take it over.  An n = 3 case is still
+    counted at |R|, although compute_k finds it in O(1) on the cube-root
+    lattice; _POOL_MIN_WORK was measured with that case scanned.
     """
     # read only when a case would read it too, so that a bad cap fails
     # alike at any worker count

@@ -44,6 +44,16 @@ check("root_count", lambda: residues._root_coset(fake, 3, 1))
 # discrete log: 8 is not a power of the false primitive root 12
 check("bsgs_log", lambda: principal_nth_root(fake, 3, 8))
 
+# norm form: 5 is not a cube root of unity mod 13, so the shortest vector
+# of the lattice (1, 5), (0, 13) does not have u1**2 + u1*u2 + u2**2 = 13
+residues.pow = lambda x, e, m: 5
+check("norm_form", lambda: residues.compute_k(ctx, 3))
+del residues.pow
+
+# least factor: k = 11 at (p, n) = (31, 15) lies inside the sandwich
+# [1, 217/15) but reaches 31/3, the bound (q - 1)p/(2q) of q = 3 | 15
+check("least_factor", lambda: residues.KResult(p=31, n=15, k=11))
+
 # sandwich: a k below the lower bound (p - 1)/(2n)
 real_k = sweep.compute_k
 sweep.compute_k = lambda ctx, n, **kw: dataclasses.replace(
@@ -81,7 +91,11 @@ def test_invariants_raise_under_python_O():
     doc = json.loads(proc.stdout)
     assert doc["optimize"] == 1
     assert sorted(doc["caught"]) == ["bsgs_log", "imaginary_residue",
-                                     "log_k", "monotone", "n_divides_t",
-                                     "root_count", "sandwich"]
+                                     "least_factor", "log_k", "monotone",
+                                     "n_divides_t", "norm_form", "root_count",
+                                     "sandwich"]
     assert doc["caught"]["monotone"] == (
         "k not monotone at p=31: k(n=15) = 9 > k(n=3) = 8")
+    assert doc["caught"]["norm_form"].endswith("has norm form 19, not p")
+    assert doc["caught"]["least_factor"] == (
+        "bound violation at (p=31, n=15): k = 11 >= (q - 1)p/(2q), q = 3")

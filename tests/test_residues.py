@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from oracles import brute_force_k, odd_divisors
 from powres import (BadN, BadResidue, InvariantViolation, KResult,
                     NotEnumerated, NotResidue, PrimeContext, ScaleLimit,
-                    build_prime_context, chowla_london_bounds, compute_k,
-                    is_nth_residue, nth_root_solutions,
+                    SweepConfig, build_prime_context, chowla_london_bounds,
+                    compute_k, is_nth_residue, nth_root_solutions,
                     power_residue_subgroup, principal_nth_root,
-                    roots_of_unity_subgroup)
+                    roots_of_unity_subgroup, run_sweep)
 from powres import residues
 from powres.modmath import primes_between
 from powres.residues import _pohlig_hellman_log, _root_coset
@@ -307,8 +307,9 @@ def test_compute_k_past_the_stored_powers():
         assert k == k_by_direct_scan(p, n), (p, n)
 
 
-# (p, n) with k in each regime of the scan: below 2|R|, in [2|R|, stop)
-# with stop the largest power of two <= 4|R|, and from stop on
+# (p, n) with k in each regime of the scan that compute_k runs at n != 3:
+# below 2|R|, in [2|R|, stop) with stop the largest power of two <= 4|R|,
+# and from stop on
 SCAN_REGIME_CASES = (
     ((13, 3), (311, 31), (10009, 3)),
     ((233, 29), (241, 15), (487, 9)),
@@ -324,7 +325,7 @@ def _scan_stop(p, n):
 def test_compute_k_in_each_scan_regime(monkeypatch, regime):
     for p, n in SCAN_REGIME_CASES[regime]:
         monkeypatch.setattr(residues, "_LEAST_FACTOR", [0, 0])
-        k = compute_k(build_prime_context(p), n).k
+        k = residues._scan_k(build_prime_context(p), n)
         assert k == k_by_direct_scan(p, n), (p, n)
         size, stop = (p - 1) // n, _scan_stop(p, n)
         assert stop & (stop - 1) == 0 and 2 * size < stop <= 4 * size
@@ -348,7 +349,7 @@ def test_compute_k_takes_pow_only_at_primes_below_stop(monkeypatch):
             monkeypatch.setattr(residues, "_LEAST_FACTOR", [0, 0])
             ctx = build_prime_context(p)
             calls.clear()
-            k = compute_k(ctx, n).k
+            k = residues._scan_k(ctx, n)
             stop = _scan_stop(p, n)
             expected = (1 + len(primes_between(2, min(k, stop - 1)))
                         + max(0, k - stop + 1))
@@ -367,6 +368,59 @@ def test_compute_k_large_cases():
     for p, n in ((1000003, 3), (100003, 7), (1999891, 1215)):
         assert compute_k(build_prime_context(p), n).k == \
             k_by_direct_scan(p, n), (p, n)
+
+
+PRIMES_1_MOD_3 = [p for p in primes_between(7, 3 * 10**4) if p % 3 == 1]
+
+
+def test_lattice_k3_matches_the_scan():
+    # the scan is the oracle of the n = 3 path on every p = 1 (mod 3) here
+    for p in PRIMES_1_MOD_3:
+        ctx = build_prime_context(p)
+        assert compute_k(ctx, 3).k == residues._scan_k(ctx, 3), p
+
+
+def test_lattice_k3_reads_no_factors_no_g_and_no_table(monkeypatch):
+    monkeypatch.setattr(residues, "_LEAST_FACTOR", [0, 0])
+    # 12582853 has |R| = 4194284, the largest n = 3 case the default cap
+    # allows; its k is the scan's, which is too slow to rerun here
+    for p, k in ((7, 1), (13, 2), (10009, 3282), (12582853, 4192546)):
+        ctx = PrimeContext(p)
+        assert compute_k(ctx, 3).k == k, p
+        assert "factors" not in ctx.__dict__ and "g" not in ctx.__dict__, p
+    assert residues._LEAST_FACTOR == [0, 0]
+
+
+def test_lattice_k3_gap_lies_in_the_measured_band():
+    # A conjecture, checked on this finite range only: p/3 - k(p, 3) lies
+    # between sqrt(p)/3 and 2 sqrt(p)/3, so p <= (p - 3k)**2 <= 4p.  Here
+    # (p - 3k)/sqrt(p) spans [1.009, 1.99998].
+    lo, hi = 2.0, 1.0
+    for p in PRIMES_1_MOD_3:
+        if p >= 100:
+            gap = p - 3 * residues._lattice_k3(p)
+            assert p <= gap * gap <= 4 * p, p
+            lo, hi = min(lo, gap / p**0.5), max(hi, gap / p**0.5)
+    assert 1.0 < lo < 1.01 and 1.999 < hi < 2.0
+
+
+def test_triangle_points_match_a_scan_of_the_triangle():
+    # every lattice point of a >= V, b >= V, a + b <= p - V, sides
+    # included, for p <= 241 under three bases of one lattice: (1, w),
+    # (0, p), the two swapped (determinant -p) and a skewed one, u - v and
+    # 3v - 2u.  The sides matter here, though not to k: each best point's
+    # orbit under (a, b) -> (b, p - a - b) meets T_V off any one side.
+    for p in PRIMES_1_MOD_3[:25]:
+        w = next(y for x in range(2, p)
+                 if (y := pow(x, (p - 1) // 3, p)) != 1)
+        u, v = (1, w), (0, p)
+        bases = ((u, v), (v, u), ((1, w - p), (-2, 3 * p - 2 * w)))
+        for low in range(1, p // 3 + 1):
+            inside = {(a, w * a % p) for a in range(low, p - 2 * low + 1)
+                      if low <= w * a % p <= p - low - a}
+            for basis in bases:
+                found = list(residues._triangle_points(p, *basis, low))
+                assert sorted(found) == sorted(inside), (p, basis, low)
 
 
 def test_least_factor_table_matches_trial_division(monkeypatch):
@@ -425,6 +479,30 @@ def test_kresult_refuses_a_k_outside_the_sandwich():
     # n = 1: the upper bound degenerates to 0 and is not checked
     assert build(6, n=1).k == 6
     assert build(6, n=1).upper_exclusive == 0
+
+
+def least_prime_factor(n):
+    return next(d for d in range(2, n + 1) if n % d == 0)
+
+
+def test_kresult_refuses_k_at_the_least_factor_bound():
+    # every sweep case below 2 * 10**4 keeps k < (q - 1)p/(2q), q the least
+    # prime factor of n; for composite n, that bound's first k is refused
+    # although the sandwich at n allows it, and the k before it is kept
+    records = run_sweep(SweepConfig(p_min=5, p_max=2 * 10**4))
+    refused = 0
+    for rec in records:
+        p, n, k = rec.p, rec.n, rec.k
+        q = least_prime_factor(n)
+        assert 2 * q * k < (q - 1) * p, (p, n, k)
+        first = -(-(q - 1) * p // (2 * q))
+        if q < n:
+            assert 2 * n * first < (n - 1) * p
+            with pytest.raises(InvariantViolation, match=f"q = {q}$"):
+                KResult(p=p, n=n, k=first)
+            assert KResult(p=p, n=n, k=first - 1).k == first - 1
+            refused += 1
+    assert len(records) > 10**4 and refused > 5000
 
 
 @given(case_strategy)

@@ -182,42 +182,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "subgroup exponential sums, and batch growth sweeps.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p):
+    def command(name, func, summary, *ints):
+        # a subcommand: its int positionals, then --json
+        p = sub.add_parser(name, help=summary)
+        for arg in ints:
+            p.add_argument(arg, type=int)
         p.add_argument("--json", action="store_true",
                        help="emit a JSON document on stdout")
+        p.set_defaults(func=func)
+        return p
 
-    p_compute = sub.add_parser("compute", help="compute k(p, n) with bounds")
-    p_compute.add_argument("p", type=int)
-    p_compute.add_argument("n", type=int)
-    add_json(p_compute)
-    p_compute.set_defaults(func=cmd_compute)
-
-    p_roots = sub.add_parser("roots", help="all n solutions of x^n = m mod p")
-    p_roots.add_argument("p", type=int)
-    p_roots.add_argument("n", type=int)
-    p_roots.add_argument("m", type=int)
-    add_json(p_roots)
-    p_roots.set_defaults(func=cmd_roots)
-
-    p_expsum = sub.add_parser(
-        "expsum", help="subgroup exponential-sum maximum and profile")
-    p_expsum.add_argument("p", type=int)
-    p_expsum.add_argument("n", type=int)
+    command("compute", cmd_compute, "compute k(p, n) with bounds", "p", "n")
+    command("roots", cmd_roots, "all n solutions of x^n = m mod p",
+            "p", "n", "m")
+    p_expsum = command("expsum", cmd_expsum,
+                       "subgroup exponential-sum maximum and profile",
+                       "p", "n")
     p_expsum.add_argument("--profile", action="store_true",
                           help="also dump per-coset magnitudes")
-    add_json(p_expsum)
-    p_expsum.set_defaults(func=cmd_expsum)
+    command("decompose", cmd_decompose,
+            "orthogonality split of the root count in |x| <= K",
+            "p", "n", "m", "K")
 
-    p_dec = sub.add_parser(
-        "decompose", help="orthogonality split of the root count in |x| <= K")
-    p_dec.add_argument("p", type=int)
-    p_dec.add_argument("n", type=int)
-    p_dec.add_argument("m", type=int)
-    p_dec.add_argument("K", type=int)
-    add_json(p_dec)
-    p_dec.set_defaults(func=cmd_decompose)
-
-    p_sweep = sub.add_parser("sweep", help="batch-run cases and persist records")
+    p_sweep = command("sweep", cmd_sweep, "batch-run cases and persist records")
     p_sweep.add_argument("--p-min", type=int, default=5)
     p_sweep.add_argument("--p-max", type=int, required=True)
     p_sweep.add_argument("--n-min", type=int, default=3)
@@ -229,14 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--format", choices=FORMATS, default="csv")
     p_sweep.add_argument("--workers", type=int, default=1)
-    add_json(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
 
-    p_verify = sub.add_parser(
-        "verify", help="check the covering sandwich for every case up to p-max")
+    p_verify = command(
+        "verify", cmd_verify,
+        "check the covering sandwich for every case up to p-max")
     p_verify.add_argument("--p-max", type=int, required=True)
-    add_json(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
 
     return parser
 

@@ -6,8 +6,8 @@ odd divisor of p - 1: oddness makes (-x)**n = -(x**n), which is what lets a
 single magnitude x cover a symmetric pair of residues.
 
 compute_k finds k(p, 3) on the lattice of cube roots of unity mod p, in
-exact integers, O(1) time and O(1) memory, without the least-factor table;
-every other n takes an O(k) scan.
+exact integers, O(log p) steps and O(1) memory and under no cap; every
+other n takes an O(k) scan, which checks the cap itself.
 """
 
 from __future__ import annotations
@@ -289,7 +289,8 @@ def _triangle_points(p: int, u: tuple[int, int], v: tuple[int, int],
 
 def _lattice_k3(p: int) -> int:
     """k(p, 3) from the lattice L = {(a, b) : b == w*a mod p} of a primitive
-    cube root of unity w, in exact integers and O(1) memory.
+    cube root of unity w, in exact integers and O(1) memory; finding w and
+    the reduction take O(log p) steps, the triangle O(1).
 
     The coset of x in F_p^*/mu_6 is +-{x, xw, xw**2} and xw**2 == -x - xw,
     so k(p, 3) is the largest f(a, b) = min(||a||, ||b||, ||a + b||) over
@@ -297,11 +298,20 @@ def _lattice_k3(p: int) -> int:
     point with f >= V lies in the triangle T_V: a >= V, b >= V,
     a + b <= p - V, where f = min(a, b, p - a - b).  L is reduced by
     Lagrange-Gauss to a basis u, v; V is the best f over the 5 x 5 points
-    of basis coefficients nearest (p/3, p/3), a deep hole of L; then every
-    point of T_V is visited.  V is some point's f, so it only chooses where
-    to look: T_V holds every best point.  No g and no factors of p - 1 are
-    read.  The shortest vector u of L has u1**2 + u1*u2 + u2**2 == p, which
-    is checked.
+    of basis coefficients nearest h = (p/3, p/3), a deep hole of L; then
+    every point of T_V is visited.  V is some point's f, so it only chooses
+    where to look: T_V holds every best point.  No g and no factors of
+    p - 1 are read.  The shortest vector u of L has u1**2 + u1*u2 + u2**2
+    == p, which is checked.
+
+    T_V holds O(1) points, with no cap needed.  L maps to itself under
+    (a, b) -> (b, -a - b), and u with its image is a basis of norm form p,
+    so |u| <= |v| <= sqrt(2p), while |u|**2 >= 2p/3.  The floored
+    coefficients of h lie within 1 of the real ones, so the box holds the
+    rounding of h, at most (|u| + |v|)/2 <= sqrt(2p) from h; hence V >=
+    p/3 - 2 sqrt(p), and T_V has diameter sqrt(2) (p - 3V) <= 6 sqrt(2p).
+    Points of L are |u| apart, so T_V holds at most (12 sqrt(3) + 1)**2 <
+    475 of them, over at most 13 rows of _triangle_points.
     """
     e = (p - 1) // 3
     x = 2
@@ -350,10 +360,12 @@ def _scan_k(ctx: PrimeContext, n: int) -> int:
     stored powers, a table of at most 4|R| entries (for the largest |R|
     scanned in the process), and marks in a bytearray of
     (p + 1)/2 <= 16|R| + 1 bytes when n <= 32, in a dict of at most |R|/2
-    keys otherwise.  The caller checks n and the cap.
+    keys otherwise.  The caller checks n; the scan checks the cap on |R|
+    itself, before it allocates anything.
     """
     p = ctx.p
     size = (p - 1) // n
+    _require_enumerable(size, "residue subgroup")
     keep = 2 * size
     stop = 1 << ((4 * size).bit_length() - 1)
     h = p // 2
@@ -397,14 +409,12 @@ def _scan_k(ctx: PrimeContext, n: int) -> int:
 def compute_k(ctx: PrimeContext, n: int) -> KResult:
     """Least k whose signed n-th powers cover every n-th power residue.
 
-    n = 3 takes _lattice_k3: O(1) time and memory whatever p, and it never
-    touches the least-factor table.  Every other n takes _scan_k, the O(k)
-    scan with O(|R|) memory, |R| = (p - 1)/n.  Both run only after n is
-    checked and |R| is within the enumeration cap, so the cap refuses the
-    same (p, n) on either path.  The KResult refuses a k outside the
-    sandwich or at or above (q - 1)p/(2q), q the least prime factor of n.
+    n = 3 takes _lattice_k3, O(log p) steps and O(1) memory, which reads
+    neither the cap nor the least-factor table.  Every other n takes _scan_k, the O(k)
+    scan with O(|R|) memory, |R| = (p - 1)/n, which refuses an |R| above
+    the cap.  The KResult refuses a k outside the sandwich or at or above
+    (q - 1)p/(2q), q the least prime factor of n.
     """
     p = ctx.p
     _require_valid_n(p, n)
-    _require_enumerable((p - 1) // n, "residue subgroup")
     return KResult(p=p, n=n, k=_lattice_k3(p) if n == 3 else _scan_k(ctx, n))

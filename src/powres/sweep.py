@@ -224,8 +224,8 @@ def _check_monotone(records: list[SweepRecord]) -> None:
 
 def _prime_records(ctx: PrimeContext, ns: list[int],
                    with_expsums: bool) -> list[SweepRecord]:
-    """The records of one prime's ascending cases ns, in order: a k scan
-    each, a skip where it would pass the cap, and a profile from at most
+    """The records of one prime's ascending cases ns, in order: a k each,
+    a skip where its scan would pass the cap, and a profile from at most
     one shared phase table (none without expsums, without cases or above
     the cap).  They are checked against each other by _check_monotone."""
     try:
@@ -254,21 +254,21 @@ def _work(cases: list[tuple[PrimeContext, list[int]]],
           with_expsums: bool) -> int:
     """W, the work of a sweep's cases that a pool worker would take over.
 
-    W sums |R| = (p - 1)/n over the cases whose |R| fits the enumeration
-    cap and, with expsums, (p - 1)/_EXPSUM_DIVISOR for the phase table and
-    for each profile of a prime whose p - 1 fits it.  What the cap skips
-    costs next to nothing, and the parent's own work per prime is not
-    counted: a pool does not take it over.  An n = 3 case is still
-    counted at |R|, although compute_k finds it in O(1) on the cube-root
-    lattice; _POOL_MIN_WORK was measured with that case scanned.
+    W sums |R| = (p - 1)/n over the cases that scan, n != 3, whose |R|
+    fits the enumeration cap and, with expsums, (p - 1)/_EXPSUM_DIVISOR for
+    the phase table and for each profile of a prime whose p - 1 fits it.
+    An n = 3 case, found on the cube-root lattice, and what the cap skips
+    cost next to nothing, and the parent's own work per prime is not
+    counted: a pool does not take it over.
     """
-    # read only when a case would read it too, so that a bad cap fails
-    # alike at any worker count
-    cap = _enum_cap() if any(ns for _, ns in cases) else 0
+    # read only where a scan or a phase table would read it too (ns holds
+    # distinct n), so that a bad cap fails alike at any worker count
+    cap = (_enum_cap() if any(ns and (with_expsums or ns != [3])
+                              for _, ns in cases) else 0)
     work = 0
     for ctx, ns in cases:
         m = ctx.p - 1
-        work += sum(m // n for n in ns if m // n <= cap)
+        work += sum(m // n for n in ns if n != 3 and m // n <= cap)
         if with_expsums and ns and m <= cap:
             work += (len(ns) + 1) * m // _EXPSUM_DIVISOR
     return work

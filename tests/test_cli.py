@@ -93,11 +93,14 @@ def test_compute_domain_errors_exit_1():
 
 
 def test_compute_scale_cap_exit_3():
-    proc = run_cli("compute", "13", "3", env_extra={"POWRES_ENUM_CAP": "2"})
+    # |R| = 6 at (31, 5); n = 3 allocates nothing and reads no cap
+    proc = run_cli("compute", "31", "5", env_extra={"POWRES_ENUM_CAP": "2"})
     assert proc.returncode == 3
+    proc = run_cli("compute", "13", "3", env_extra={"POWRES_ENUM_CAP": "1"})
+    assert proc.returncode == 0 and "k(13, 3) = 2" in proc.stdout
     # a cap that is not a positive integer is a usage error naming it
     for bad in ("abc", "", "0", "-5"):
-        proc = run_cli("compute", "13", "3",
+        proc = run_cli("compute", "31", "5",
                        env_extra={"POWRES_ENUM_CAP": bad})
         assert proc.returncode == 2, bad
         assert "POWRES_ENUM_CAP" in proc.stderr, bad
@@ -336,7 +339,8 @@ def test_sweep_refuses_unusable_out_before_running(tmp_path, monkeypatch,
 
 def test_sweep_reports_skips_without_failing(tmp_path):
     out = str(tmp_path / "capped.jsonl")
-    proc = run_cli("sweep", "--p-max", "30", "--out", out, "--format",
+    # (31, 5), |R| = 6, is skipped; n = 3 never is
+    proc = run_cli("sweep", "--p-max", "31", "--out", out, "--format",
                    "jsonl", "--json", env_extra={"POWRES_ENUM_CAP": "4"})
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
@@ -408,12 +412,13 @@ def test_verify_includes_the_13_3_case():
 
 
 def test_verify_capped_case_is_a_size_error():
+    # (7, 3) passes under any cap; (11, 5), |R| = 2, is the first refused
     proc = run_cli("verify", "--p-max", "13",
-                   env_extra={"POWRES_ENUM_CAP": "2"})
+                   env_extra={"POWRES_ENUM_CAP": "1"})
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: case p=13 n=3 ")
-    assert "cap 2" in proc.stderr
+    assert proc.stderr.startswith("error: case p=11 n=5 ")
+    assert "cap 1" in proc.stderr
 
 
 def test_verify_sandwich_failure_exits_1(monkeypatch, capsys):

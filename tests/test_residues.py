@@ -12,9 +12,9 @@ from powres import (BadN, BadResidue, InvariantViolation, KResult,
                     SweepConfig, build_prime_context, chowla_london_bounds,
                     compute_k, is_nth_residue, nth_root_solutions,
                     power_residue_subgroup, principal_nth_root,
-                    roots_of_unity_subgroup, run_sweep)
+                    roots_of_unity_subgroup, run_sweep, write_records)
 from powres import residues
-from powres.modmath import primes_between
+from powres.modmath import is_prime, primes_between
 from powres.residues import _pohlig_hellman_log, _root_coset
 
 PRIMES_2000 = primes_between(5, 1999)
@@ -239,10 +239,21 @@ def test_compute_k_n1_is_half_group(ctx13):
         assert compute_k(build_prime_context(p), 1).k == (p - 1) // 2
 
 
-def test_compute_k_cap(ctx13, monkeypatch):
+def test_compute_k_cap(ctx13, monkeypatch, tmp_path):
     monkeypatch.setenv("POWRES_ENUM_CAP", "3")
     with pytest.raises(ScaleLimit):
-        compute_k(ctx13, 3)
+        compute_k(build_prime_context(31), 5)  # |R| = 6
+    # k(p, 3) allocates nothing, so no cap refuses it
+    cubes = SweepConfig(p_min=5, p_max=3000, n_policy="fixed_n", fixed_n=3)
+    monkeypatch.delenv("POWRES_ENUM_CAP")
+    write_records(run_sweep(cubes), str(tmp_path / "uncapped.jsonl"), "jsonl")
+    monkeypatch.setenv("POWRES_ENUM_CAP", "1")
+    assert compute_k(ctx13, 3).k == 2
+    records = run_sweep(cubes)
+    assert records and all(rec.k is not None for rec in records)
+    write_records(records, str(tmp_path / "capped.jsonl"), "jsonl")
+    assert (tmp_path / "capped.jsonl").read_bytes() == \
+        (tmp_path / "uncapped.jsonl").read_bytes()
 
 
 def test_brute_force_k_examples(ctx7, ctx13):
@@ -402,6 +413,30 @@ def test_lattice_k3_gap_lies_in_the_measured_band():
             assert p <= gap * gap <= 4 * p, p
             lo, hi = min(lo, gap / p**0.5), max(hi, gap / p**0.5)
     assert 1.0 < lo < 1.01 and 1.999 < hi < 2.0
+
+
+def test_lattice_k3_visits_a_bounded_triangle_up_to_2_62(monkeypatch):
+    # The _lattice_k3 docstring proves that T_V holds fewer than 475
+    # points whatever p.  A conjecture, checked on these seeded samples
+    # only: it holds exactly the 3-orbit of the best point, and
+    # p <= (p - 3k)**2 <= 4p, as in the band test above.
+    rng = random.Random(20191)
+    real = residues._triangle_points
+    counts = []
+
+    def counted(*args):
+        points = list(real(*args))
+        counts.append(len(points))
+        return iter(points)
+    monkeypatch.setattr(residues, "_triangle_points", counted)
+    for lo in (10**9, 10**12, 10**15, 10**18, 2**61):
+        for _ in range(200):
+            p = rng.randrange(lo // 6 * 6 + 1, min(2 * lo, 2**62), 6)
+            while not is_prime(p):
+                p += 6
+            gap = p - 3 * residues._lattice_k3(p)
+            assert p <= gap * gap <= 4 * p, p
+            assert counts.pop() == 3, p
 
 
 def test_triangle_points_match_a_scan_of_the_triangle():

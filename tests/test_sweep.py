@@ -208,8 +208,8 @@ def test_run_sweep_orders_and_bounds():
 
 
 def test_run_sweep_skips_capped_cases(monkeypatch):
-    monkeypatch.setenv("POWRES_ENUM_CAP", "2")
-    records = run_sweep(SweepConfig(p_min=13, p_max=13))
+    monkeypatch.setenv("POWRES_ENUM_CAP", "1")
+    records = run_sweep(SweepConfig(p_min=11, p_max=11))  # (11, 5), |R| = 2
     assert len(records) == 1
     rec = records[0]
     assert rec.k is None and rec.skip_reason is not None
@@ -267,7 +267,7 @@ def test_forkserver_workers_take_the_parent_cap(monkeypatch):
     serial = dataclasses.replace(pooled, workers=1)
     monkeypatch.delenv("POWRES_ENUM_CAP", raising=False)
     run_sweep(pooled)  # starts the server, if no earlier sweep did
-    for cap, skips in (("8", 95), (None, 0)):
+    for cap, skips in (("8", 61), (None, 0)):  # no n = 3 case skips
         if cap is None:
             monkeypatch.delenv("POWRES_ENUM_CAP")
         else:
@@ -414,7 +414,7 @@ def test_pool_starts_only_above_the_work_estimate(monkeypatch, fake_pool):
         (SweepConfig(p_min=150000, p_max=160000, **largest), None, []),
         (SweepConfig(p_min=1000, p_max=50000, **largest), None, []),
         (SweepConfig(p_max=20000, **fixed), "64", []),
-        (SweepConfig(p_min=4000, p_max=6000, workers=2), None, [2]),
+        (SweepConfig(p_min=4000, p_max=7000, workers=2), None, [2]),
         (SweepConfig(p_max=60000, **fixed), "2000", [2]),  # 345 of 747 skip
     )
     for config, cap, sizes in windows:
@@ -431,11 +431,16 @@ def test_pool_starts_only_above_the_work_estimate(monkeypatch, fake_pool):
 
 def test_bad_cap_fails_alike_at_any_worker_count(monkeypatch, fake_pool):
     two_usable_cpus(monkeypatch)
-    monkeypatch.setenv("POWRES_ENUM_CAP", "abc")
     no_cases = SweepConfig(p_min=5, p_max=50, n_policy="fixed_n",
                            fixed_n=9999)
+    # an n = 3 case reads no cap: neither the lattice nor W reads it
+    cubes = dataclasses.replace(no_cases, fixed_n=3)
+    uncapped = run_sweep(cubes)
+    monkeypatch.setenv("POWRES_ENUM_CAP", "abc")
     for workers in (1, 2):
         assert run_sweep(dataclasses.replace(no_cases, workers=workers)) == []
+        assert run_sweep(dataclasses.replace(cubes, workers=workers)) == \
+            uncapped
         with pytest.raises(ValueError, match="POWRES_ENUM_CAP"):
             run_sweep(SweepConfig(p_min=5, p_max=50, workers=workers))
     assert fake_pool == []
@@ -460,7 +465,7 @@ def test_real_pool_starts_once_above_the_threshold(monkeypatch):
         started.append(max_workers)
         return real(max_workers=max_workers, **kwargs)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
-    config = SweepConfig(p_min=2000, p_max=4600, workers=2)
+    config = SweepConfig(p_min=2000, p_max=6000, workers=2)
     assert estimate(config) >= sweep._POOL_MIN_WORK
     pooled = run_sweep(config)
     assert started == [2]
@@ -697,8 +702,8 @@ def test_read_records_ignores_filled_timing_cells(tmp_path, monkeypatch, fmt):
     # Earlier versions could fill the elapsed_ms column with whole-millisecond
     # timings; such files read back as the same records as with it empty.
     records = run_sweep(SweepConfig(p_min=5, p_max=100, with_expsums=True))
-    monkeypatch.setenv("POWRES_ENUM_CAP", "2")
-    records += run_sweep(SweepConfig(p_min=13, p_max=13))
+    monkeypatch.setenv("POWRES_ENUM_CAP", "1")
+    records += run_sweep(SweepConfig(p_min=11, p_max=11))  # (11, 5) skips
     assert records[-1].skip_reason is not None
     empty, timed = tmp_path / f"empty.{fmt}", tmp_path / f"timed.{fmt}"
     write_records(records, str(empty), fmt)

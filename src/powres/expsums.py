@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import cycle, islice, repeat
 from math import cos, fsum, pi, sin
@@ -33,6 +32,7 @@ from operator import add, indexOf, mul, sub, truediv
 
 from .errors import BadN, BadRadius, InvariantViolation, ZeroFrequency
 from .modmath import PrimeContext, powers
+from .record import Record
 from .residues import _require_enumerable, _root_coset, principal_nth_root
 
 
@@ -41,8 +41,7 @@ def _check_radius(p: int, K: int) -> None:
         raise BadRadius(f"K must be an integer in [1, {(p - 1) // 2}], got {K}")
 
 
-@dataclass(frozen=True)
-class PhaseTable:
+class PhaseTable(Record):
     """cos and sin of 2*pi*r/p for r = g**j mod p, j = 0..(p-1)/2 - 1.
 
     The second half of the table is the conjugate of the first, since
@@ -50,10 +49,8 @@ class PhaseTable:
     subgroup of F_p^*.
     """
 
-    p: int
-    g: int
-    cos: array
-    sin: array
+    def __init__(self, p: int, g: int, cos: array, sin: array) -> None:
+        self.__dict__.update(p=p, g=g, cos=cos, sin=sin)
 
 
 # Entries of the phase table built, and cosets of a row-summed profile
@@ -84,8 +81,7 @@ def phase_table(ctx: PrimeContext) -> PhaseTable:
     return PhaseTable(p=p, g=ctx.g, cos=cos_t, sin=sin_t)
 
 
-@dataclass(frozen=True)
-class ExpSumProfile:
+class ExpSumProfile(Record):
     """Per-coset values of S(a, H); its statistics are derived when read.
 
     coset_values[i] is S on the coset of g**i, i < (p-1)/|H|, which by coset
@@ -98,10 +94,10 @@ class ExpSumProfile:
     max|S|/|H|, the quantity the covering bounds are stated in.
     """
 
-    p: int
-    g: int
-    subgroup_order: int
-    coset_values: tuple[complex, ...]
+    def __init__(self, p: int, g: int, subgroup_order: int,
+                 coset_values: tuple[complex, ...]) -> None:
+        self.__dict__.update(p=p, g=g, subgroup_order=subgroup_order,
+                             coset_values=coset_values)
 
     @cached_property
     def max_magnitude(self) -> float:
@@ -224,20 +220,19 @@ def harmonic_bound_check(p: int) -> tuple[float, float, bool]:
     return lhs, rhs, lhs <= rhs
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(Record):
     """Orthogonality split of the root count over 1 <= |x| <= K.
 
     exact_count is computed independently from the root set; main_term is
     (n/p) * 2K and error_term the r = 1..p-1 frequency sum, so in exact
-    arithmetic their sum, reconstruction, equals exact_count.
+    arithmetic their sum, reconstruction, equals exact_count.  m is
+    reduced mod p.
     """
 
-    m: int  # reduced mod p
-    K: int
-    exact_count: int
-    main_term: float
-    error_term: float
+    def __init__(self, m: int, K: int, exact_count: int, main_term: float,
+                 error_term: float) -> None:
+        self.__dict__.update(m=m, K=K, exact_count=exact_count,
+                             main_term=main_term, error_term=error_term)
 
     @property
     def reconstruction(self) -> float:

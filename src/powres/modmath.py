@@ -14,12 +14,12 @@ exactly.  Larger moduli are rejected up front instead of silently degrading.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from math import gcd, isqrt
 
 from .errors import InvariantViolation, NotPrime, ScaleLimit, TooSmall
+from .record import Record
 
 MODULUS_CAP = 1 << 62
 
@@ -135,8 +135,7 @@ def factorize(m: int) -> list[tuple[int, int]]:
     return sorted(found.items())
 
 
-@dataclass(frozen=True)
-class PrimeContext:
+class PrimeContext(Record):
     """A prime p >= 5; p - 1's factors and the least primitive root g are
     derived from p when first read, then kept.
 
@@ -144,7 +143,8 @@ class PrimeContext:
     sieve for the primes of a sweep.  Safe to share across workers.
     """
 
-    p: int
+    def __init__(self, p: int) -> None:
+        self.__dict__.update(p=p)
 
     @cached_property
     def factors(self) -> tuple[tuple[int, int], ...]:

@@ -14,14 +14,20 @@ from __future__ import annotations
 
 import os
 from collections import defaultdict
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice, repeat
 from math import gcd, isqrt
 
 from .errors import (BadN, BadResidue, InvariantViolation, NotEnumerated,
                      NotResidue)
 from .modmath import PrimeContext, powers, primes_between
+from .record import Record
+
+# Fraction is read here only by type checkers, which take TYPE_CHECKING as
+# true; it is imported where a bound is built, so importing powres does not
+# load fractions.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 ENUM_CAP_DEFAULT = 1 << 22
 _CAP_VAR = "POWRES_ENUM_CAP"
@@ -176,28 +182,23 @@ def nth_root_solutions(ctx: PrimeContext, n: int, m: int) -> set[int]:
     return _root_coset(ctx, n, principal_nth_root(ctx, n, m))
 
 
-@dataclass(frozen=True)
-class KResult:
+class KResult(Record):
     """k(p, n); its sandwich bounds are derived from p and n when read.
 
     lower = (p-1)/(2n) and upper_exclusive = (1/2 - 1/(2n)) * p, exact
     rationals.  For n >= 3 the sandwich lower <= k < upper_exclusive is a
     theorem, and so is k < (q - 1)p/(2q) for q the least prime factor of
     n, since k(p, n) <= k(p, q) when q | n; the two agree at prime n.
-    Construction (dataclasses.replace too) refuses a k that breaks either
-    with InvariantViolation; at n = 1 the upper bound degenerates to 0 and
+    Construction (replace too) refuses a k that breaks either with
+    InvariantViolation; at n = 1 the upper bound degenerates to 0 and
     neither is checked.
     """
 
-    p: int
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        p, n, k = self.p, self.n, self.k  # the sandwich times 2n
+    def __init__(self, p: int, n: int, k: int) -> None:
+        self.__dict__.update(p=p, n=n, k=k)
         if n < 3:
             return
-        if not p - 1 <= 2 * n * k < (n - 1) * p:
+        if not p - 1 <= 2 * n * k < (n - 1) * p:  # the sandwich times 2n
             raise InvariantViolation(
                 f"bound violation at (p={p}, n={n}): k = {k}")
         # (q - 1)/(2q) >= 1/3, so only 3k >= p needs q; the bound fails
@@ -231,6 +232,7 @@ def _bound_cells(p: int, n: int) -> tuple[int, int, int, int]:
 
 def chowla_london_bounds(p: int, n: int) -> tuple[Fraction, Fraction]:
     """Exact rationals ((p-1)/(2n), (1/2 - 1/(2n)) * p); no floating point."""
+    from fractions import Fraction
     lower_num, lower_den, upper_num, upper_den = _bound_cells(p, n)
     return Fraction(lower_num, lower_den), Fraction(upper_num, upper_den)
 

@@ -31,18 +31,21 @@ import math
 import os
 import re
 import stat
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import starmap
-from statistics import StatisticsError, linear_regression
 
 from .errors import EmptyRange, InvariantViolation, ScaleLimit
 from .expsums import _delta, expsum_profile, phase_table
 from .modmath import (SIEVE_CAP, PrimeContext, build_prime_context,
                       primes_between)
+from .record import Record
 from .residues import (_CAP_VAR, KResult, _bound_cells, _enum_cap,
                        _inherit_cap, chowla_london_bounds, compute_k)
+
+# Fraction is read here only by type checkers (see residues.py).
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 N_POLICIES = ("all_odd_divisors", "largest_odd_divisor", "fixed_n")
 
@@ -70,8 +73,7 @@ _FD_PATH = re.compile(r"/(?:dev|proc/self)/fd/(\d+)")
 _STD_PATHS = {"/dev/stdout": 1, "/dev/stderr": 2}
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Record):
     """Immutable sweep parameters; validated on construction.
 
     Bad values, including a p_min, p_max, n_min, workers or fixed_n that is
@@ -81,16 +83,14 @@ class SweepConfig:
     before the prime sieve is allocated.
     """
 
-    p_min: int
-    p_max: int
-    n_min: int = 3
-    epsilon: float = 0.0
-    n_policy: str = "all_odd_divisors"
-    fixed_n: int | None = None
-    with_expsums: bool = False
-    workers: int = 1
-
-    def __post_init__(self) -> None:
+    def __init__(self, p_min: int, p_max: int, n_min: int = 3,
+                 epsilon: float = 0.0, n_policy: str = "all_odd_divisors",
+                 fixed_n: int | None = None, with_expsums: bool = False,
+                 workers: int = 1) -> None:
+        self.__dict__.update(p_min=p_min, p_max=p_max, n_min=n_min,
+                             epsilon=epsilon, n_policy=n_policy,
+                             fixed_n=fixed_n, with_expsums=with_expsums,
+                             workers=workers)
         for name in ("p_min", "p_max", "n_min", "workers"):
             value = getattr(self, name)
             if type(value) is not int:
@@ -124,17 +124,16 @@ class SweepConfig:
                 f"fixed_n must be a positive odd integer, got {n!r}")
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(Record):
     """One (p, n) row as measured; k and the fields derived from it when
     read (lower, upper_exclusive, normalized) are None when skipped, and
     delta_emp, derived from max_expsum_ratio, is None without it."""
 
-    p: int
-    n: int
-    k: int | None
-    max_expsum_ratio: float | None = None
-    skip_reason: str | None = None
+    def __init__(self, p: int, n: int, k: int | None,
+                 max_expsum_ratio: float | None = None,
+                 skip_reason: str | None = None) -> None:
+        self.__dict__.update(p=p, n=n, k=k, max_expsum_ratio=max_expsum_ratio,
+                             skip_reason=skip_reason)
 
     @property
     def lower(self) -> Fraction | None:
@@ -156,14 +155,13 @@ class SweepRecord:
         return None if ratio is None else _delta(ratio, self.p, self.n)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Ordinary least squares of log k on log p."""
 
-    slope: float
-    intercept: float
-    r_squared: float
-    n_points: int
+    def __init__(self, slope: float, intercept: float, r_squared: float,
+                 n_points: int) -> None:
+        self.__dict__.update(slope=slope, intercept=intercept,
+                             r_squared=r_squared, n_points=n_points)
 
 
 def _odd_divisors_of(factors) -> list[int]:
@@ -319,6 +317,7 @@ def fit_exponent(records: list[SweepRecord]) -> FitResult | None:
     largest-odd-divisor policy |R| is the 2-power part of p - 1, so the
     slope tracks that valuation instead.
     """
+    from statistics import StatisticsError, linear_regression
     done = [rec for rec in records if rec.k is not None]
     for rec in done:
         if rec.k < 1:  # only a hand-built or read record can hold one

@@ -6,7 +6,6 @@ A rename or removal in src/ would break `run.py --trace 1` and selftest.py;
 this catches it without running the benchmark.
 """
 
-import dataclasses
 import inspect
 import sys
 from pathlib import Path
@@ -31,7 +30,7 @@ def test_runner_api_exists():
         assert callable(getattr(powres, attr)), attr
     assert callable(powres.cli.main)
     assert "with_expsums" in inspect.signature(powres.run_case).parameters
-    fields = {f.name for f in dataclasses.fields(powres.SweepConfig)}
+    fields = set(inspect.signature(powres.SweepConfig).parameters)
     for workload in workloads.WORKLOADS.values():
         assert set(workload.sweep) <= fields, workload.sweep
     # run.py writes a sweep as write_records(records, csv_path)
@@ -51,7 +50,7 @@ def test_cli_reads_compute_k_through_its_own_namespace(monkeypatch, capsys):
 
     def bumped(ctx, n):
         result = real(ctx, n)
-        return dataclasses.replace(result, k=result.k + 1)
+        return result.replace(k=result.k + 1)
 
     monkeypatch.setattr(powres.cli, "compute_k", bumped)
     assert powres.cli.main(["compute", "13", "3", "--json"]) == 0

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import os
 import subprocess
@@ -62,7 +61,7 @@ def test_compute_json_leads_with_the_cells_of_a_sweep_row(tmp_path, capsys):
 def test_compute_sandwich_failure_exits_1(monkeypatch, capsys):
     real = cli.compute_k
     monkeypatch.setattr(cli, "compute_k", lambda ctx, n:
-                        dataclasses.replace(real(ctx, n), k=0))
+                        real(ctx, n).replace(k=0))
     assert main(["compute", "13", "3", "--json"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "bound violation" in err
@@ -424,7 +423,7 @@ def test_verify_capped_case_is_a_size_error():
 def test_verify_sandwich_failure_exits_1(monkeypatch, capsys):
     real_k = sweep.compute_k
     monkeypatch.setattr(sweep, "compute_k", lambda ctx, n, **kw:
-                        dataclasses.replace(real_k(ctx, n, **kw), k=0))
+                        real_k(ctx, n, **kw).replace(k=0))
     assert main(["verify", "--p-max", "13"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "bound violation" in err

@@ -10,7 +10,6 @@ import subprocess
 import sys
 
 SCRIPT = r"""
-import dataclasses
 import json
 import sys
 
@@ -56,14 +55,13 @@ check("least_factor", lambda: residues.KResult(p=31, n=15, k=11))
 
 # sandwich: a k below the lower bound (p - 1)/(2n)
 real_k = sweep.compute_k
-sweep.compute_k = lambda ctx, n, **kw: dataclasses.replace(
-    real_k(ctx, n, **kw), k=0)
+sweep.compute_k = lambda ctx, n, **kw: real_k(ctx, n, **kw).replace(k=0)
 check("sandwich", lambda: run_case(13, 3))
 
 # monotone: k(31, 15) = 1 raised to 9, inside its sandwich [1, 217/15)
 # but above k(31, 3) = 8, although 3 divides 15
 sweep.compute_k = lambda ctx, n, **kw: (
-    dataclasses.replace(real_k(ctx, n, **kw), k=9) if n == 15
+    real_k(ctx, n, **kw).replace(k=9) if n == 15
     else real_k(ctx, n, **kw))
 check("monotone", lambda: sweep.run_sweep(sweep.SweepConfig(p_min=31,
                                                             p_max=31)))
@@ -75,8 +73,8 @@ check("log_k", lambda: sweep.fit_exponent([
 
 # imaginary residue: purely imaginary subgroup sums cannot cancel
 real_profile = expsums.expsum_profile
-expsums.expsum_profile = lambda table, d: dataclasses.replace(
-    real_profile(table, d), coset_values=(1j,) * ((table.p - 1) // d))
+expsums.expsum_profile = lambda table, d: real_profile(table, d).replace(
+    coset_values=(1j,) * ((table.p - 1) // d))
 check("imaginary_residue", lambda: orthogonality_decomposition(ctx, 3, 8, 6))
 expsums.expsum_profile = real_profile
 

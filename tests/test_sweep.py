@@ -1,6 +1,5 @@
 import concurrent.futures
 import csv
-import dataclasses
 import functools
 import hashlib
 import json
@@ -264,7 +263,7 @@ def test_forkserver_workers_take_the_parent_cap(monkeypatch):
         mp_context=multiprocessing.get_context("forkserver"))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forkserver)
     pooled = SweepConfig(p_min=5, p_max=400, workers=2)
-    serial = dataclasses.replace(pooled, workers=1)
+    serial = pooled.replace(workers=1)
     monkeypatch.delenv("POWRES_ENUM_CAP", raising=False)
     run_sweep(pooled)  # starts the server, if no earlier sweep did
     for cap, skips in (("8", 61), (None, 0)):  # no n = 3 case skips
@@ -300,7 +299,7 @@ def test_one_context_and_one_factorisation_per_prime(monkeypatch, fake_pool):
             (dict(n_policy="largest_odd_divisor"), 0),
             (dict(n_policy="fixed_n", fixed_n=15), 0)):
         config = SweepConfig(p_min=5, p_max=2000, workers=1, **policy)
-        pooled = dataclasses.replace(config, workers=2)
+        pooled = config.replace(workers=2)
         for run, cfg in ((run_sweep, config), (enumerate_cases, config),
                          (run_sweep, pooled)):
             calls.clear()
@@ -353,7 +352,7 @@ def test_largest_odd_divisor_factors_only_for_the_phase_table(monkeypatch):
     run_sweep(config)
     assert not any("factors" in ctx.__dict__ for ctx in made)
     made.clear()
-    run_sweep(dataclasses.replace(config, with_expsums=True))
+    run_sweep(config.replace(with_expsums=True))
     assert [ctx.p for ctx in made] == modmath.primes_between(5, 3000)
     # g, and through it p - 1's factors, is read for the phase table alone
     assert {ctx.p for ctx in made
@@ -379,7 +378,7 @@ def test_one_phase_table_per_prime_with_cases(monkeypatch):
     assert {ctx.p for ctx in made if "g" in ctx.__dict__} == primes_with_cases
     assert all(r.max_expsum_ratio is not None for r in records)
     calls.clear()
-    run_sweep(dataclasses.replace(config, with_expsums=False))
+    run_sweep(config.replace(with_expsums=False))
     assert not calls
 
 
@@ -424,7 +423,7 @@ def test_pool_starts_only_above_the_work_estimate(monkeypatch, fake_pool):
             monkeypatch.setenv("POWRES_ENUM_CAP", cap)
         assert (estimate(config) >= sweep._POOL_MIN_WORK) == bool(sizes)
         fake_pool.clear()
-        serial = run_sweep(dataclasses.replace(config, workers=1))
+        serial = run_sweep(config.replace(workers=1))
         assert run_sweep(config) == serial
         assert fake_pool == sizes, config
 
@@ -434,13 +433,12 @@ def test_bad_cap_fails_alike_at_any_worker_count(monkeypatch, fake_pool):
     no_cases = SweepConfig(p_min=5, p_max=50, n_policy="fixed_n",
                            fixed_n=9999)
     # an n = 3 case reads no cap: neither the lattice nor W reads it
-    cubes = dataclasses.replace(no_cases, fixed_n=3)
+    cubes = no_cases.replace(fixed_n=3)
     uncapped = run_sweep(cubes)
     monkeypatch.setenv("POWRES_ENUM_CAP", "abc")
     for workers in (1, 2):
-        assert run_sweep(dataclasses.replace(no_cases, workers=workers)) == []
-        assert run_sweep(dataclasses.replace(cubes, workers=workers)) == \
-            uncapped
+        assert run_sweep(no_cases.replace(workers=workers)) == []
+        assert run_sweep(cubes.replace(workers=workers)) == uncapped
         with pytest.raises(ValueError, match="POWRES_ENUM_CAP"):
             run_sweep(SweepConfig(p_min=5, p_max=50, workers=workers))
     assert fake_pool == []
@@ -452,7 +450,7 @@ def test_work_estimate_counts_expsum_work_by_p():
     config = SweepConfig(p_min=50000, p_max=51000, epsilon=1 / 3,
                          n_policy="largest_odd_divisor")
     assert estimate(config) < sweep._POOL_MIN_WORK
-    assert estimate(dataclasses.replace(config, with_expsums=True)) >= (
+    assert estimate(config.replace(with_expsums=True)) >= (
         sweep._POOL_MIN_WORK)
 
 
@@ -469,7 +467,7 @@ def test_real_pool_starts_once_above_the_threshold(monkeypatch):
     assert estimate(config) >= sweep._POOL_MIN_WORK
     pooled = run_sweep(config)
     assert started == [2]
-    assert pooled == run_sweep(dataclasses.replace(config, workers=1))
+    assert pooled == run_sweep(config.replace(workers=1))
     assert started == [2]
 
 
@@ -489,12 +487,29 @@ def test_pool_size_is_bounded_by_the_usable_cpus(monkeypatch):
 
 
 FOOTPRINT = """\
-import json, os, sys
+import contextlib, io, json, os, sys
 before = set(sys.modules)
 import powres, powres.cli
 loaded = set(sys.modules) - before
-watched = ("concurrent.futures", "multiprocessing", "secrets", "hashlib")
+watched = ("concurrent.futures", "multiprocessing", "secrets", "hashlib",
+           "dataclasses", "inspect", "statistics", "fractions", "decimal")
 report = {"on_import": [name for name in watched if name in loaded]}
+
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = powres.cli.main(list(argv))
+    return status, out.getvalue()
+
+
+# fractions loads for the bounds line of a human compute, statistics for
+# the fit in a sweep's summary
+report["compute"] = run("compute", "13", "3")
+report["fractions"] = "fractions" in sys.modules
+report["sweep"] = run("sweep", "--p-max", "100", "--json", "--out",
+                      sys.argv[1])
+report["statistics"] = "statistics" in sys.modules
 cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count() or 1)
 if cpus >= 2:
@@ -508,14 +523,21 @@ print(json.dumps(report))
 """
 
 
-def test_import_loads_the_pool_machinery_only_when_a_pool_starts():
+def test_import_loads_the_pool_machinery_only_when_a_pool_starts(tmp_path):
     # Measured against the modules loaded before the import, so whatever
     # site loads at start-up does not count.
-    proc = subprocess.run([sys.executable, "-c", FOOTPRINT],
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT,
+                           str(tmp_path / "sweep.csv")],
                           capture_output=True, text=True, env=dict(os.environ))
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["on_import"] == []
+    status, out = report["compute"]
+    assert status == 0 and "bounds: 2 <= k < 13/3" in out
+    assert report["fractions"]
+    status, out = report["sweep"]
+    assert status == 0 and isinstance(json.loads(out)["slope"], float)
+    assert report["statistics"]
     if "pool_loaded" not in report:
         pytest.skip("one usable CPU: no pool starts; the import check passed")
     assert report["pool_loaded"]
@@ -660,7 +682,7 @@ def test_round_trip_both_formats(tmp_path, monkeypatch):
         parsed = read_records(path, fmt)
         expected = records
         if fmt == "csv":  # reason column is JSONL-only
-            expected = [dataclasses.replace(r, skip_reason=None)
+            expected = [r.replace(skip_reason=None)
                         for r in records]
         assert parsed == expected
 
@@ -688,7 +710,7 @@ def test_read_records_derives_the_bounds_instead_of_reading_them(tmp_path):
 
 def test_result_types_store_only_what_was_computed():
     def names(cls):
-        return [f.name for f in dataclasses.fields(cls)]
+        return list(cls._fields)
     assert names(KResult) == ["p", "n", "k"]
     assert names(SweepRecord) == ["p", "n", "k", "max_expsum_ratio",
                                   "skip_reason"]
@@ -748,7 +770,7 @@ def test_identical_configs_identical_bytes(tmp_path, monkeypatch):
     paths = []
     for i, workers in enumerate((1, 3)):
         path = str(tmp_path / f"run{i}.jsonl")
-        run = dataclasses.replace(cfg, workers=workers)
+        run = cfg.replace(workers=workers)
         write_records(run_sweep(run), path, "jsonl")
         paths.append(path)
     blobs = [open(p, "rb").read() for p in paths]
